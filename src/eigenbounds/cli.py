@@ -8,8 +8,7 @@ Subcommands:
 
 Metric parameters: city-block --m --n; phase-rotation --q --n;
 projective --q --subspaces "1,0,0;0,1,0;1,1,1"; block --q --partition
-"1,2|3,4"; cyclic-burst --q --n --b; varshamov --n.  The environment
-variable SCB_THREADS caps the verify sweep parallelism.
+"1,2|3,4"; cyclic-burst --q --n --b; varshamov --n.
 """
 
 from __future__ import annotations

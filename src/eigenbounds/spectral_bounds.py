@@ -5,15 +5,16 @@ forms for the phase-rotation graph.
 MILP conventions
 ----------------
 The optimal-polynomial search minimizes m.b over binary patterns b, where
-b_j = 0 forces p(theta_j) <= -1 and b_j = 1 leaves theta_j unconstrained.
-The big-M / epsilon pair of the original mixed-integer formulation is
-eliminated: every remaining constraint is homogeneous in the coefficients
-of p, so any p with strictly negative values at the selected eigenvalues
-rescales to values <= -1.  Patterns are enumerated best-first by weight
-(exact optimum, early exit), each one checked by an exact-rational
-feasibility LP.  Infeasible patterns donate their Farkas row support as a
-"core": any later pattern whose zero-set contains a known core is skipped
-without an LP call.
+b_j = 0 forces p(theta_j) <= -1 and b_j = 1 leaves theta_j unconstrained,
+with one program per class of vertices sharing a diagonal of A^0..A^k.
+All other constraints are homogeneous in the coefficients of p.  Exact
+spectra enumerate patterns best-first by weight, each checked by an
+exact-rational feasibility LP (Farkas cores prune later patterns); the
+first feasible one is optimal.  Float spectra solve the big-M form as one
+HiGHS MILP per class (see `_propose_pattern`) and confirm the lightest
+proposal with one exact-rational LP, falling back to the best-first
+search for a class whose proposal fails; a reported value always comes
+from an exactly confirmed pattern.
 
 Floating spectra (city block, Varshamov) enter the LPs through eigenvalue
 powers rationalized at denominator 2^40 (error < 1e-12); the winning
@@ -23,6 +24,8 @@ polynomial is re-checked in floating point with slack 1e-6.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,6 +35,7 @@ import numpy as np
 from .algebra import Polynomial, poly_eval
 from .errors import (
     AssumptionViolated,
+    BudgetExceeded,
     DegreeTooHigh,
     InternalError,
     NotApplicable,
@@ -155,31 +159,26 @@ def _k1_inertia_value(spectrum: Spectrum) -> tuple[int, dict]:
     return value, witness
 
 
-FLOAT_FILTER_MARGIN = 1e-6
+MILP_COEFF_BOX = 1e4  # |c_i| <= box on the Chebyshev coefficients of p
 
 
 class _PatternOracle:
-    """Feasibility oracle over zero-patterns with Farkas-core pruning.
+    """Exact-rational feasibility of one class's program under zero-patterns.
 
-    For float spectra a fast slack-maximizing float LP screens each
-    pattern first: clearly infeasible patterns (best slack < -margin) are
-    rejected without an exact solve.  Every accepted pattern is confirmed
-    by the exact-rational LP, so a winning value is always exact on the
-    rationalized data; a wrong float rejection could only weaken (raise)
-    the reported bound, never break its validity.
+    Calling the oracle on b solves the feasibility LP of the base rows plus
+    p(theta_j) <= -1 for every b_j = 0: the best-first search's test.
+    Infeasible patterns donate their Farkas row support as a core, and a
+    later pattern whose zero-set contains a known core is rejected without
+    an LP call.  `min_norm_witness` decides one pattern and yields its
+    witness in a single solve; the float MILP route confirms with it.
     """
 
-    def __init__(self, base_rows: list, eig_table: list[list[Fraction]],
-                 n_vars: int, float_filter: bool = False):
+    def __init__(self, base_rows: list, eig_table: list[list[Fraction]]):
         self.base_rows = base_rows
         self.eig_table = eig_table
-        self.n_vars = n_vars
+        self.n_vars = len(eig_table[0])
         self.cores: list[int] = []
         self.last_solution = None
-        self.lp_calls = 0
-        self._filter = None
-        if float_filter:
-            self._filter = _SlackFilter(base_rows, eig_table, n_vars)
 
     def __call__(self, b: tuple) -> bool:
         zero_mask = 0
@@ -189,15 +188,12 @@ class _PatternOracle:
         for core in self.cores:
             if core & zero_mask == core:
                 return False
-        if self._filter is not None and self._filter.clearly_infeasible(b):
-            return False
         rows = list(self.base_rows)
         eig_row_of: dict[int, int] = {}
         for j, bit in enumerate(b):
             if not bit:
                 eig_row_of[len(rows)] = j
                 rows.append((tuple(self.eig_table[j]), LE, Fraction(-1)))
-        self.lp_calls += 1
         result = solve_feasibility(rows, self.n_vars)
         if result.status == INFEASIBLE:
             core = 0
@@ -211,7 +207,8 @@ class _PatternOracle:
         return True
 
     def min_norm_witness(self, b: tuple):
-        """Re-solve the winning pattern minimizing sum |a_i|.
+        """Coefficients of p minimizing sum |a_i| under pattern b, or None
+        when the pattern is infeasible.
 
         Simplex vertices of the bare feasibility LP can carry huge
         coefficients that defeat the floating re-check; the minimum-norm
@@ -228,57 +225,10 @@ class _PatternOracle:
         objective = (Fraction(1),) * (2 * nv)
         bounds = ((Fraction(0), None),) * (2 * nv)
         result = solve_lp(LinearProgram(objective, tuple(rows), bounds))
-        if result.status != OPTIMAL:  # pragma: no cover - pattern already confirmed
-            raise InternalError("min-norm re-solve of a feasible pattern failed")
+        if result.status == INFEASIBLE:
+            return None
         sol = result.solution
         return tuple(sol[i] - sol[nv + i] for i in range(nv))
-
-
-class _SlackFilter:
-    """Float LP screening: maximize the worst slack of a pattern's system."""
-
-    def __init__(self, base_rows: list, eig_table: list[list[Fraction]], n_vars: int):
-        import numpy as _np
-
-        self.n_vars = n_vars
-        eq_rows = [r for r in base_rows if r[1] == EQ]
-        ge_rows = [r for r in base_rows if r[1] == GE]
-        self.a_eq = _np.array([[float(c) for c in r[0]] for r in eq_rows]) \
-            if eq_rows else None
-        self.b_eq = _np.array([float(r[2]) for r in eq_rows]) if eq_rows else None
-        # GE rows become -coeffs . a + s <= 0 (slack s shared)
-        self.ge = _np.array([[-float(c) for c in r[0]] for r in ge_rows]) \
-            if ge_rows else _np.zeros((0, n_vars))
-        self.eig = _np.array([[float(c) for c in row] for row in eig_table])
-
-    def clearly_infeasible(self, b: tuple) -> bool:
-        import numpy as _np
-        from scipy.optimize import linprog
-
-        zero = [j for j, bit in enumerate(b) if not bit]
-        n_ge = self.ge.shape[0]
-        rows = _np.zeros((n_ge + len(zero), self.n_vars + 1))
-        rhs = _np.zeros(n_ge + len(zero))
-        if n_ge:
-            rows[:n_ge, :-1] = self.ge
-            rows[:n_ge, -1] = 1.0
-        for t, j in enumerate(zero):
-            rows[n_ge + t, :-1] = self.eig[j]
-            rows[n_ge + t, -1] = 1.0
-            rhs[n_ge + t] = -1.0
-        a_eq = b_eq = None
-        if self.a_eq is not None:
-            a_eq = _np.hstack([self.a_eq, _np.zeros((self.a_eq.shape[0], 1))])
-            b_eq = self.b_eq
-        cost = _np.zeros(self.n_vars + 1)
-        cost[-1] = -1.0  # maximize the shared slack
-        bounds = [(None, None)] * self.n_vars + [(None, 1.0)]
-        res = linprog(cost, A_ub=rows, b_ub=rhs, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs")
-        if not res.success:
-            return False  # inconclusive: fall through to the exact LP
-        best_slack = -res.fun
-        return best_slack < -FLOAT_FILTER_MARGIN
 
 
 def _float_verify(spectrum: Spectrum, coeffs: Sequence[Fraction], b: tuple) -> None:
@@ -290,30 +240,111 @@ def _float_verify(spectrum: Spectrum, coeffs: Sequence[Fraction], b: tuple) -> N
                 f"rationalized MILP winner fails float re-check at theta={theta}")
 
 
-def _best_first_milp(spectrum: Spectrum, oracle_factory, k: int,
-                     max_nodes: int) -> tuple[int, dict]:
-    """Shared driver: min over oracle instances of best-first pattern search."""
+def _best_first_milp(spectrum: Spectrum, oracles: Sequence, max_nodes: int) -> tuple[int, dict]:
+    """Exact optimum over (label, oracle) classes by best-first pattern
+    search; `max_nodes` caps the patterns tried per class."""
     from .lp_kernel import minimize_over_binaries
 
     mults = list(spectrum.mults)
     best_value: Optional[int] = None
     best_witness: dict = {}
-    for label, oracle in oracle_factory():
+    for label, oracle in oracles:
         found = minimize_over_binaries(mults, oracle, stop_weight=best_value,
                                        max_nodes=max_nodes)
-        if found is None:
-            continue
-        value, b = found
-        if best_value is None or value < best_value:
-            best_value = int(value)
-            coeffs = oracle.last_solution
-            if not spectrum.exact and coeffs is not None:
-                coeffs = oracle.min_norm_witness(b)
-                _float_verify(spectrum, coeffs, b)
-            best_witness = {"pattern": b, "polynomial": coeffs, "vertex_class": label}
+        if found is not None:
+            best_value, b = int(found[0]), found[1]
+            best_witness = {"pattern": b, "polynomial": oracle.last_solution,
+                            "vertex_class": label}
     if best_value is None:  # pragma: no cover - all-ones is always feasible
         raise InternalError("no feasible pattern found")
     return best_value, best_witness
+
+
+def _quiet_milp(*args, **kwargs):
+    """scipy.optimize.milp with file descriptor 1 on the null device: HiGHS's
+    MIP solver writes to it even with disp=False.  Process-wide, so not for
+    use from threads."""
+    from scipy.optimize import milp
+
+    sys.stdout.flush()
+    saved, devnull = os.dup(1), os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, 1)
+        return milp(*args, **kwargs)
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+        os.close(devnull)
+
+
+def _propose_pattern(spectrum: Spectrum, oracle: _PatternOracle, max_nodes: int,
+                     below: Optional[int]) -> Optional[tuple[int, tuple]]:
+    """(weight, pattern) of one class's lightest pattern by one HiGHS MILP,
+    or None when no pattern weighs less than `below`.
+
+    Variables: Chebyshev coefficients c of p on [theta_min, theta_max] with
+    |c_i| <= MILP_COEFF_BOX, then binaries b_j.  |T_i| <= 1 there, so the
+    big-M (k+1) * box + 2 never binds when b_j = 1; the box can only hide
+    patterns, never admit one.  Raises BudgetExceeded if HiGHS stops unsolved.
+    """
+    from scipy.optimize import Bounds, LinearConstraint
+
+    k, theta = oracle.n_vars - 1, np.array([float(t) for t in spectrum.distinct])
+    cheb = [np.polynomial.Chebyshev.basis(i, domain=[theta.min(), theta.max()])
+            for i in range(k + 1)]
+    to_monomial = np.array([np.pad(t.convert(kind=np.polynomial.Polynomial).coef, (0, k - i))
+                            for i, t in enumerate(cheb)]).T
+    rows = np.array([[float(c) for c in coeffs] for coeffs, _, _ in oracle.base_rows]) @ to_monomial
+    rows /= np.abs(rows).max(axis=1, keepdims=True)
+    r1 = len(theta)
+    weights = np.concatenate([np.zeros(k + 1), spectrum.mults])
+    constraints = [
+        LinearConstraint(np.hstack([rows, np.zeros((len(rows), r1))]), 0,
+                         [0 if rel == EQ else np.inf for _, rel, _ in oracle.base_rows]),
+        LinearConstraint(np.hstack([np.array([t(theta) for t in cheb]).T,
+                                    -((k + 1) * MILP_COEFF_BOX + 2) * np.eye(r1)]), -np.inf, -1),
+        LinearConstraint(weights, -np.inf, np.inf if below is None else below - 1)]
+    res = _quiet_milp(weights, constraints=constraints, integrality=weights > 0,
+                      bounds=Bounds([-MILP_COEFF_BOX] * (k + 1) + [0] * r1,
+                                    [MILP_COEFF_BOX] * (k + 1) + [1] * r1),
+                      options={"node_limit": max_nodes, "mip_rel_gap": 0})
+    if res.status == 2:  # infeasible: nothing lighter than `below`
+        return None
+    if res.status != 0:
+        raise BudgetExceeded(f"inertia MILP unsolved within {max_nodes} nodes: {res.message}")
+    b = tuple(int(round(x)) for x in res.x[k + 1:])
+    return sum(m for m, bit in zip(spectrum.mults, b) if bit), b
+
+
+def _inertia_search(spectrum: Spectrum, programs: list, eig_table: list,
+                    max_nodes: int) -> tuple[int, dict]:
+    """Minimum over (label, base rows) classes.
+
+    Exact spectra: best-first search.  Float spectra: one HiGHS MILP per
+    class, each cut to patterns lighter than the best proposal so far, then
+    one exact min-norm LP confirms the lightest proposal.  A class whose
+    proposal fails confirmation is settled by the exact best-first search,
+    and the classes are compared again.
+    """
+    oracles = [(label, _PatternOracle(rows, eig_table)) for label, rows in programs]
+    if spectrum.exact:
+        return _best_first_milp(spectrum, oracles, max_nodes)
+    settled: dict[int, tuple[int, tuple]] = {}  # class index -> exact (weight, pattern)
+    while True:
+        best = None  # (weight, pattern, class index)
+        for idx, (_, oracle) in enumerate(oracles):
+            below = None if best is None else best[0]
+            found = settled.get(idx) or _propose_pattern(spectrum, oracle, max_nodes, below)
+            if found is not None and (below is None or found[0] < below):
+                best = (*found, idx)
+        weight, b, idx = best
+        label, oracle = oracles[idx]
+        coeffs = oracle.min_norm_witness(b)
+        if coeffs is not None:
+            _float_verify(spectrum, coeffs, b)
+            return weight, {"pattern": b, "polynomial": coeffs, "vertex_class": label}
+        value, witness = _best_first_milp(spectrum, [oracles[idx]], max_nodes)
+        settled[idx] = (value, witness["pattern"])
 
 
 def inertia_milp(g: Graph, spectrum: Spectrum, k: int,
@@ -323,28 +354,21 @@ def inertia_milp(g: Graph, spectrum: Spectrum, k: int,
 
     Runs the per-vertex program for one representative of every distinct
     diagonal-vector class ((A^0)_uu..(A^k)_uu determines the program) and
-    takes the minimum.
+    takes the minimum.  `max_nodes` is a work budget, not a time, so no
+    result depends on machine speed: it caps the patterns tried per class,
+    and on float spectra also each class's HiGHS branch-and-bound nodes.
+    Running out raises BudgetExceeded.
     """
     if k == 1 and use_k1_shortcut:
         value, witness = _k1_inertia_value(spectrum)
         return BoundReport("inertia_milp", Fraction(value), k, exact=spectrum.exact,
                            inputs=inputs or {}, witness=witness)
     diags = _diag_powers(g.adjacency, k)
-    n = g.n_vertices
-    diag_vecs = [tuple(int(d[v]) for d in diags) for v in range(n)]
-    classes = sorted(set(diag_vecs))
-    eig_table = _eigen_power_table(spectrum, k)
-
-    def factory():
-        for u_vec in classes:
-            rows = [(tuple(Fraction(x) for x in u_vec), EQ, Fraction(0))]
-            for other in classes:
-                if other != u_vec:
-                    rows.append((tuple(Fraction(x) for x in other), GE, Fraction(0)))
-            yield u_vec, _PatternOracle(rows, eig_table, k + 1,
-                                        float_filter=not spectrum.exact)
-
-    value, witness = _best_first_milp(spectrum, factory, k, max_nodes)
+    classes = sorted({tuple(int(d[v]) for d in diags) for v in range(g.n_vertices)})
+    programs = [(u, [(u, EQ, 0)] + [(other, GE, 0) for other in classes if other != u])
+                for u in classes]
+    value, witness = _inertia_search(spectrum, programs, _eigen_power_table(spectrum, k),
+                                     max_nodes)
     return BoundReport("inertia_milp", Fraction(value), k, exact=spectrum.exact,
                        inputs=inputs or {}, witness=witness)
 
@@ -357,6 +381,7 @@ def inertia_milp_walkreg(spectrum: Spectrum, k: int,
     Valid for k-partially walk-regular graphs (caller-verified): the
     constant diagonal of p(A) equals (1/n) sum m_i p(theta_i), so pinning
     it to zero is the single constraint sum_i m_i p(theta_i) = 0.
+    `max_nodes` is the work budget described at `inertia_milp`.
     """
     if k == 1 and use_k1_shortcut:
         value, witness = _k1_inertia_value(spectrum)
@@ -366,12 +391,8 @@ def inertia_milp_walkreg(spectrum: Spectrum, k: int,
     trace_row = tuple(
         sum(Fraction(m) * eig_table[j][i] for j, m in enumerate(spectrum.mults))
         for i in range(k + 1))
-
-    def factory():
-        yield None, _PatternOracle([(trace_row, EQ, Fraction(0))], eig_table, k + 1,
-                                   float_filter=not spectrum.exact)
-
-    value, witness = _best_first_milp(spectrum, factory, k, max_nodes)
+    value, witness = _inertia_search(spectrum, [(None, [(trace_row, EQ, Fraction(0))])],
+                                     eig_table, max_nodes)
     return BoundReport("inertia_milp_walkreg", Fraction(value), k,
                        exact=spectrum.exact, inputs=inputs or {}, witness=witness)
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -391,34 +389,16 @@ def _space_for_fixture_row(table_id: int, row: dict) -> tuple[mt.MetricSpace, in
     raise FixtureNotFound(f"table{table_id}")
 
 
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SCB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def verify_table(table_id: int, time_budget: float = 120.0,
                  report: Optional[Callable[[str], None]] = None) -> bool:
     """Recompute every checked cell of the table and diff against the fixture."""
-    rows = load_fixture(table_id)
     checked = TABLE_CHECKED[table_id]
     keys = TABLE_KEYS[table_id]
-
-    def work(row):
-        space, k = _space_for_fixture_row(table_id, row)
-        return compute_row(space, k, [c for c in checked if c != "alpha"],
-                           time_budget=time_budget)
-
-    threads = default_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, rows))
-    else:
-        results = [work(r) for r in rows]
-
     all_ok = True
-    for row, result in zip(rows, results):
+    for row in load_fixture(table_id):
+        space, k = _space_for_fixture_row(table_id, row)
+        result = compute_row(space, k, [c for c in checked if c != "alpha"],
+                             time_budget=time_budget)
         label = " ".join(f"{key}={row[key]}" for key in keys)
         diffs = []
         for col in checked:

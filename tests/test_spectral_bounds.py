@@ -9,6 +9,7 @@ import pytest
 from eigenbounds.algebra import Polynomial, make_field
 from eigenbounds.errors import (
     AssumptionViolated,
+    BudgetExceeded,
     DegreeTooHigh,
     NotApplicable,
     NotRegular,
@@ -17,6 +18,7 @@ from eigenbounds.errors import (
 from eigenbounds import graphs as gr
 from eigenbounds import metrics as mt
 from eigenbounds import spectral_bounds as sb
+from eigenbounds import tables
 from eigenbounds.spectra import (
     Spectrum,
     city_block_spectrum,
@@ -109,6 +111,69 @@ def test_inertia_milp_varshamov():
     g = gr.build_distance_graph(space)
     spec = spectrum_of_graph(g)
     assert sb.inertia_milp(g, spec, 3).floored == 2
+
+
+def float_instance(metric, **params):
+    space = tables.make_space(metric, **params)
+    g = gr.build_distance_graph(space)
+    spec = tables.spectrum_for(space, g)
+    assert not spec.exact
+    return g, spec
+
+
+def exact_search(spectrum, programs, eig_table, max_nodes):
+    """Reference: best-first search with exact oracles and no float screen."""
+    oracles = [(label, sb._PatternOracle(rows, eig_table)) for label, rows in programs]
+    return sb._best_first_milp(spectrum, oracles, max_nodes)
+
+
+def assert_witness_certifies(g, spec, k, rep):
+    """The witness polynomial re-derives a bound at most the reported one."""
+    p = Polynomial(tuple(rep.witness["polynomial"]))
+    assert sb.inertia_type_bound(g, spec, p, k).raw_value <= rep.raw_value
+    pattern = rep.witness["pattern"]
+    assert sum(m for m, bit in zip(spec.mults, pattern) if bit) == rep.raw_value
+
+
+SMALL_FLOAT_INSTANCES = (
+    [("city-block", dict(m=m, n=n), k) for m in (3, 4, 5) for n in (1, 2) for k in (1, 2, 3, 4)]
+    + [("city-block", dict(m=3, n=3), 3)]
+    + [("varshamov", dict(n=n), k) for n in range(2, 6) for k in range(1, n)])
+
+
+@pytest.mark.parametrize("metric,params,k", SMALL_FLOAT_INSTANCES, ids=[
+    "-".join([metric] + [f"{key}{v}" for key, v in params.items()] + [f"k{k}"])
+    for metric, params, k in SMALL_FLOAT_INSTANCES])
+def test_float_milp_route_equals_exact_best_first(metric, params, k, monkeypatch):
+    g, spec = float_instance(metric, **params)
+    rep = sb.inertia_milp(g, spec, k, use_k1_shortcut=False)
+    assert_witness_certifies(g, spec, k, rep)
+    monkeypatch.setattr(sb, "_inertia_search", exact_search)
+    assert rep.raw_value == sb.inertia_milp(g, spec, k, use_k1_shortcut=False).raw_value
+
+
+def test_float_milp_rejected_proposal_falls_back_to_exact(monkeypatch):
+    g, spec = float_instance("city-block", m=3, n=2)  # three diagonal classes
+    calls = []
+
+    def infeasible_proposal(spectrum, oracle, max_nodes, below):
+        # p(theta) <= -1 at every eigenvalue contradicts a zero diagonal of p(A)
+        calls.append(below)
+        return 0, (0,) * len(spectrum.distinct)
+
+    monkeypatch.setattr(sb, "_propose_pattern", infeasible_proposal)
+    rep = sb.inertia_milp(g, spec, 2)
+    assert len(calls) >= 3  # each class proposed once before it was settled
+    assert_witness_certifies(g, spec, 2, rep)
+    monkeypatch.setattr(sb, "_inertia_search", exact_search)
+    assert rep.raw_value == sb.inertia_milp(g, spec, 2).raw_value == 3
+
+
+def test_float_milp_node_budget_raises():
+    g, spec = float_instance("city-block", m=5, n=2)
+    with pytest.raises(BudgetExceeded):
+        sb.inertia_milp(g, spec, 4, max_nodes=1)
+    assert sb.inertia_milp(g, spec, 4).floored == 4
 
 
 @pytest.mark.parametrize("space,k", [

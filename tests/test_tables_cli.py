@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,3 +134,18 @@ def test_cli_determinism():
     argv = ["bound", "cyclic-burst", "--q", "2", "--n", "5", "--b", "2",
             "--k", "2", "--format", "csv"]
     assert run_cli(argv) == run_cli(argv)
+
+
+def test_cli_json_stdout_holds_only_the_row():
+    """HiGHS's MIP solver writes to file descriptor 1 on this instance; none
+    of it may reach the JSON on stdout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eigenbounds.cli", "bound", "city-block", "--m", "5",
+         "--n", "2", "--k", "4", "--bounds", "inertia", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=300, check=True)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["bounds"]["inertia"] == "4"
