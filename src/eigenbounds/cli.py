@@ -35,13 +35,6 @@ def _add_metric_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--subspaces")
 
 
-def _space_from_args(args) -> "tables.mt.MetricSpace":
-    params = {key: getattr(args, key) for key in
-              ("m", "n", "q", "b", "partition", "subspaces")
-              if getattr(args, key, None) is not None}
-    return tables.make_space(args.metric, **params)
-
-
 def _render_row(row: tables.RowResult, columns: list[str], fmt: str,
                 out) -> None:
     header = ["metric", "params", "k", "d"] + columns
@@ -69,7 +62,7 @@ def cmd_bound(args, out=None) -> int:
     k = args.k if args.k is not None else args.d - 1
     if k < 1:
         raise EigenboundsError("k >= 1 (equivalently d >= 2) required")
-    space = _space_from_args(args)
+    space = tables.make_space(**vars(args))
     names = args.bounds.split(",") if args.bounds else tables.available_bounds(space)
     row = tables.compute_row(space, k, names, time_budget=args.budget)
     _render_row(row, names + ["alpha"], args.format, out)
@@ -78,7 +71,7 @@ def cmd_bound(args, out=None) -> int:
 
 def cmd_spectrum(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    space = _space_from_args(args)
+    space = tables.make_space(**vars(args))
     spectrum = tables.spectrum_for(space)
     if args.check:
         if space.ambient_size > 1024:
@@ -108,7 +101,7 @@ def cmd_verify(args, out=None) -> int:
 
 def cmd_export_graph(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    space = _space_from_args(args)
+    space = tables.make_space(**vars(args))
     text = gr.export_edge_list(gr.build_distance_graph(space))
     with open(args.out, "w") as fh:
         fh.write(text)
@@ -126,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metric_args(p)
     p.add_argument("--k", type=int, help="bound alpha_k (codes of minimum distance k+1)")
     p.add_argument("--d", type=int, help="minimum distance; k = d-1")
-    p.add_argument("--bounds", help="comma list: inertia,ratio,plotkin,hamming,singleton,varshamov")
+    p.add_argument("--bounds", help="comma list of bound names; the valid names depend "
+                   "on the metric (default: all of the metric's bounds)")
     p.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
     p.add_argument("--budget", type=float, default=60.0,
                    help="exact-oracle time budget in seconds")

@@ -3,6 +3,7 @@
 This layer wires the pipeline together for a given metric instance:
 build the space, its distance graph, the best available spectrum route,
 then evaluate the requested bounds and the exact k-independence oracle.
+Every per-metric fact lives in one `MetricKind` record of `KINDS`.
 It also loads the bundled reference tables and re-verifies every
 computable cell (Lovasz-theta and Borden-Plotkin columns are carried as
 reference data only; nothing here computes them).
@@ -14,7 +15,6 @@ import csv
 import importlib.resources
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import classical_bounds as cb
@@ -25,9 +25,6 @@ from .algebra import FieldVector, make_field
 from .errors import EigenboundsError, FixtureNotFound, NotApplicable
 from .spectra import Spectrum, cayley_spectrum_abelian, city_block_spectrum, \
     phase_rotation_spectrum, spectrum_of_graph
-
-METRIC_NAMES = ("city-block", "projective", "phase-rotation", "block",
-                "cyclic-burst", "varshamov")
 
 PRIME_POWER_FIELDS = {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4), 25: (5, 2),
                       27: (3, 3), 32: (2, 5)}
@@ -45,46 +42,6 @@ def parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
 
 def format_partition(partition) -> str:
     return "|".join(",".join(str(x) for x in blk) for blk in partition)
-
-
-def make_space(metric: str, **params) -> mt.MetricSpace:
-    """Build a metric space from flat CLI-style parameters."""
-    metric = metric.replace("_", "-")
-    if metric == "city-block":
-        return mt.CityBlockSpace(int(params["m"]), int(params["n"]))
-    if metric == "phase-rotation":
-        return mt.PhaseRotationSpace(field_for(int(params["q"])), int(params["n"]))
-    if metric == "projective":
-        field = field_for(int(params["q"]))
-        vecs = []
-        for chunk in params["subspaces"].split(";"):
-            vecs.append(FieldVector(field, tuple(int(x) for x in chunk.split(","))))
-        n = len(vecs[0])
-        return mt.ProjectiveSpace(mt.ProjectiveParams(field, n, tuple(vecs)))
-    if metric == "block":
-        partition = parse_partition(params["partition"])
-        n = sum(len(b) for b in partition)
-        return mt.BlockSpace(mt.BlockParams(field_for(int(params["q"])), n, partition))
-    if metric == "cyclic-burst":
-        return mt.CyclicBurstSpace(mt.CyclicBurstParams(
-            field_for(int(params["q"])), int(params["n"]), int(params["b"])))
-    if metric == "varshamov":
-        return mt.VarshamovSpace(int(params["n"]))
-    raise EigenboundsError(f"unknown metric {metric!r}; choose from {METRIC_NAMES}")
-
-
-def spectrum_for(space: mt.MetricSpace, graph: Optional[gr.Graph] = None) -> Spectrum:
-    """Best spectrum route: closed form > character sums > eigensolver."""
-    if isinstance(space, mt.CityBlockSpace):
-        return city_block_spectrum(space.m, space.n)
-    if isinstance(space, mt.PhaseRotationSpace):
-        return phase_rotation_spectrum(space.field.q, space.n)
-    if isinstance(space, (mt.ProjectiveSpace, mt.BlockSpace, mt.CyclicBurstSpace)):
-        return cayley_spectrum_abelian(space.field.q, space.n,
-                                       list(space.unit_sphere()))
-    if graph is None:
-        graph = gr.build_distance_graph(space)
-    return spectrum_of_graph(graph)
 
 
 # ----------------------------------------------------------------------
@@ -145,27 +102,165 @@ def _block_hints(space: mt.BlockSpace, k: int) -> list[list[int]]:
     return hints
 
 
+def _transpose(*pairs):
+    """The coordinate map exchanging each pair of 0-indexed positions."""
+    def fn(c):
+        c = list(c)
+        for a, b in pairs:
+            c[a], c[b] = c[b], c[a]
+        return tuple(c)
+    return fn
+
+
+def _adjacent_swaps(space) -> list:
+    return [_transpose((i, i + 1)) for i in range(space.n - 1)]
+
+
+def _block_maps(space) -> list:
+    partition = space.params.partition
+    maps = [_transpose((blk[0] - 1, blk[1] - 1)) for blk in partition if len(blk) >= 2]
+    return maps + [_transpose(*zip((p - 1 for p in b1), (p - 1 for p in b2)))
+                   for b1, b2 in zip(partition, partition[1:]) if len(b1) == len(b2)]
+
+
+# ----------------------------------------------------------------------
+# The metric registry
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MetricKind:
+    """Everything the pipeline knows about one metric."""
+
+    build: Callable  # (lookup of a flat CLI parameter) -> space
+    spectrum: Callable  # (space, graph or None) -> its best spectrum route
+    # a walk-regular graph: the inertia search needs only the spectrum, and
+    # the ratio bound applies
+    walk_regular: bool
+    # bound name -> (space, d) -> value; None or NotApplicable where it does not apply
+    classical: dict[str, Callable]
+    params: Callable  # space -> the `params` dict of a row
+    coordinate_maps: Callable = lambda space: []  # space -> isometries of coordinate tuples
+    hints: Callable = lambda space, k: []  # (space, k) -> candidate sets for the alpha oracle
+
+
+def _build_projective(p) -> mt.MetricSpace:
+    field = field_for(int(p("q")))
+    vecs = tuple(FieldVector(field, tuple(int(x) for x in chunk.split(",")))
+                 for chunk in p("subspaces").split(";"))
+    return mt.ProjectiveSpace(mt.ProjectiveParams(field, len(vecs[0]), vecs))
+
+
+def _build_block(p) -> mt.MetricSpace:
+    partition = parse_partition(p("partition"))
+    n = sum(len(b) for b in partition)
+    return mt.BlockSpace(mt.BlockParams(field_for(int(p("q"))), n, partition))
+
+
+def _cayley_spectrum(space, graph) -> Spectrum:
+    return cayley_spectrum_abelian(space.field.q, space.n, list(space.unit_sphere()))
+
+
+def _graph_spectrum(space, graph) -> Spectrum:
+    return spectrum_of_graph(graph if graph is not None else gr.build_distance_graph(space))
+
+
+def _floor(x):
+    return None if x is None else math.floor(x)
+
+
+KINDS: dict[str, MetricKind] = {
+    "city-block": MetricKind(
+        build=lambda p: mt.CityBlockSpace(int(p("m")), int(p("n"))),
+        spectrum=lambda s, g: city_block_spectrum(s.m, s.n),
+        walk_regular=False,
+        classical={"plotkin": lambda s, d: _floor(cb.plotkin_city_block(s.m, s.n, d)),
+                   "hamming": lambda s, d: cb.hamming_city_block(s.m, s.n, d)},
+        params=lambda s: {"m": s.m, "n": s.n},
+        coordinate_maps=lambda s: _adjacent_swaps(s) + [  # then reflections
+            lambda x, i=i: x[:i] + (s.m - 1 - x[i],) + x[i + 1:] for i in range(s.n)],
+        hints=lambda s, k: [[i for i, x in enumerate(s.elements())
+                             if sum(x) % 2 == 0]] if k == 1 else []),
+    "projective": MetricKind(
+        build=_build_projective,
+        spectrum=_cayley_spectrum,
+        walk_regular=True,
+        classical={"singleton": lambda s, d: cb.singleton_projective(s.params, d)},
+        params=lambda s: {"n": s.n, "q": s.field.q, "subspaces": ";".join(
+            ",".join(str(c) for c in v.coords) for v in s.params.spanning_vectors)}),
+    "phase-rotation": MetricKind(
+        build=lambda p: mt.PhaseRotationSpace(field_for(int(p("q"))), int(p("n"))),
+        spectrum=lambda s, g: phase_rotation_spectrum(s.field.q, s.n),
+        walk_regular=True,
+        classical={"singleton": lambda s, d: cb.singleton_phase_rotation(
+            s.field.q, s.n, d)},
+        params=lambda s: {"n": s.n, "q": s.field.q},
+        coordinate_maps=_adjacent_swaps,
+        hints=lambda s, k: _functional_kernels(s) if k == 1 else []),
+    "block": MetricKind(
+        build=_build_block,
+        spectrum=_cayley_spectrum,
+        walk_regular=True,
+        classical={"singleton": lambda s, d: cb.singleton_block(s.params, d)},
+        params=lambda s: {"n": s.n, "partition": format_partition(s.params.partition),
+                          "q": s.field.q},
+        coordinate_maps=_block_maps,
+        hints=_block_hints),
+    "cyclic-burst": MetricKind(
+        build=lambda p: mt.CyclicBurstSpace(mt.CyclicBurstParams(
+            field_for(int(p("q"))), int(p("n")), int(p("b")))),
+        spectrum=_cayley_spectrum,
+        walk_regular=True,
+        classical={"singleton": lambda s, d: cb.singleton_cyclic_burst(
+            s.n, s.field.q, s.params.b, d)},
+        params=lambda s: {"n": s.n, "b": s.params.b, "q": s.field.q},
+        coordinate_maps=lambda s: [lambda c: c[1:] + c[:1], lambda c: tuple(reversed(c))]),
+    "varshamov": MetricKind(
+        build=lambda p: mt.VarshamovSpace(int(p("n"))),
+        spectrum=_graph_spectrum,
+        walk_regular=False,
+        classical={"varshamov": lambda s, d: math.floor(cb.varshamov_bound(s.n, d))},
+        params=lambda s: {"n": s.n},
+        coordinate_maps=_adjacent_swaps),
+}
+METRIC_NAMES = tuple(KINDS)
+
+
+def make_space(metric: str, **params) -> mt.MetricSpace:
+    """Build a metric space from flat CLI-style parameters."""
+    metric = metric.replace("_", "-")
+    if metric not in KINDS:
+        raise EigenboundsError(f"unknown metric {metric!r}; choose from {METRIC_NAMES}")
+
+    def arg(key: str):
+        if params.get(key) is None:
+            raise EigenboundsError(f"{metric} needs --{key}")
+        return params[key]
+    return KINDS[metric].build(arg)
+
+
+def kind_of(space: mt.MetricSpace) -> MetricKind:
+    """The registry record of the space's metric."""
+    return KINDS[space.name.replace("_", "-")]
+
+
+def spectrum_for(space: mt.MetricSpace, graph: Optional[gr.Graph] = None) -> Spectrum:
+    """Best spectrum route: closed form > character sums > eigensolver."""
+    return kind_of(space).spectrum(space, graph)
+
+
 def alpha_hints(space: mt.MetricSpace, k: int) -> list[list[int]]:
     """Candidate code constructions used only as initial incumbents.
 
     Each is validated by direct adjacency check inside the solver; they
     never replace the branch-and-bound optimality proof.
     """
-    if k == 1 and isinstance(space, mt.PhaseRotationSpace):
-        return _functional_kernels(space)
-    if k == 1 and isinstance(space, mt.CityBlockSpace):
-        labels = space.elements()
-        return [[i for i, x in enumerate(labels) if sum(x) % 2 == 0]]
-    if isinstance(space, mt.BlockSpace):
-        return _block_hints(space, k)
-    return []
+    return kind_of(space).hints(space, k)
 
 
 def automorphism_generators(space: mt.MetricSpace) -> list[list[int]]:
     """Vertex permutations that are metric symmetries by construction:
-    translations and scalar maps for the field metrics, coordinate
-    permutations where the metric is coordinate-symmetric, reflections for
-    city block, rotations/reflection for cyclic bursts.
+    translations and scalar maps for the field metrics, then the metric's
+    coordinate isometries.
 
     The oracle re-validates every permutation against the adjacency matrix
     and silently drops anything that fails, so this list only needs to be
@@ -173,73 +268,17 @@ def automorphism_generators(space: mt.MetricSpace) -> list[list[int]]:
     """
     labels = space.elements()
     index = {x: i for i, x in enumerate(labels)}
-    perms: list[list[int]] = []
-
-    def add(fn):
-        perms.append([index[fn(x)] for x in labels])
-
-    def coordinate_swap(i, j, coords):
-        c = list(coords)
-        c[i], c[j] = c[j], c[i]
-        return tuple(c)
-
-    if isinstance(space, mt.CityBlockSpace):
-        m, n = space.m, space.n
-        for i in range(n - 1):
-            add(lambda x, i=i: coordinate_swap(i, i + 1, x))
-        for i in range(n):
-            add(lambda x, i=i: x[:i] + (m - 1 - x[i],) + x[i + 1:])
-        return perms
-    if isinstance(space, mt.VarshamovSpace):
-        for i in range(space.n - 1):
-            add(lambda x, i=i: coordinate_swap(i, i + 1, x))
-        return perms
-
-    f, n = space.field, space.n
-    for s in space.unit_sphere():
-        add(lambda x, s=s: x + s)
-    for c in f.nonzero():
-        if c != 1:
-            add(lambda x, c=c: x.scale(c))
-
-    def coords_map(fn):
-        add(lambda x, fn=fn: type(x)(x.field, fn(x.coords)))
-
-    if isinstance(space, mt.PhaseRotationSpace):
-        for i in range(n - 1):
-            coords_map(lambda c, i=i: coordinate_swap(i, i + 1, c))
-    elif isinstance(space, mt.BlockSpace):
-        partition = space.params.partition
-        for blk in partition:
-            if len(blk) >= 2:
-                a, b = blk[0] - 1, blk[1] - 1
-                coords_map(lambda c, a=a, b=b: coordinate_swap(a, b, c))
-        for b1, b2 in zip(partition, partition[1:]):
-            if len(b1) == len(b2):
-                pairs = tuple(zip((p - 1 for p in b1), (p - 1 for p in b2)))
-
-                def swap_blocks(c, pairs=pairs):
-                    c = list(c)
-                    for a, b in pairs:
-                        c[a], c[b] = c[b], c[a]
-                    return tuple(c)
-
-                coords_map(swap_blocks)
-    elif isinstance(space, mt.CyclicBurstSpace):
-        coords_map(lambda c: c[1:] + c[:1])
-        coords_map(lambda c: tuple(reversed(c)))
-    return perms
+    maps = kind_of(space).coordinate_maps(space)
+    if isinstance(labels[0], FieldVector):
+        maps = ([lambda x, s=s: x + s for s in space.unit_sphere()]
+                + [lambda x, c=c: x.scale(c) for c in space.field.nonzero() if c != 1]
+                + [lambda x, fn=fn: FieldVector(x.field, fn(x.coords)) for fn in maps])
+    return [[index[fn(x)] for x in labels] for fn in maps]
 
 
 # ----------------------------------------------------------------------
 # Bound dispatch
 # ----------------------------------------------------------------------
-
-def _frac_str(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return str(x)
-
 
 @dataclass
 class RowResult:
@@ -255,24 +294,29 @@ class RowResult:
 
 
 def available_bounds(space: mt.MetricSpace) -> list[str]:
-    names = ["inertia"]
-    if not isinstance(space, (mt.CityBlockSpace, mt.VarshamovSpace)):
-        names.append("ratio")
-    if isinstance(space, mt.CityBlockSpace):
-        names += ["plotkin", "hamming"]
-    if isinstance(space, (mt.ProjectiveSpace, mt.PhaseRotationSpace,
-                          mt.BlockSpace, mt.CyclicBurstSpace)):
-        names.append("singleton")
-    if isinstance(space, mt.VarshamovSpace):
-        names.append("varshamov")
-    return names
+    kind = kind_of(space)
+    return ["inertia"] + ["ratio"] * kind.walk_regular + list(kind.classical)
+
+
+def inertia_bound(space: mt.MetricSpace, graph: Optional[gr.Graph], spectrum: Spectrum,
+                  k: int, **kw) -> sb.BoundReport:
+    """The inertia search the metric supports: walk-regular graphs need only
+    the spectrum (graph may be None), the others a per-vertex search."""
+    if kind_of(space).walk_regular:
+        return sb.inertia_milp_walkreg(spectrum, k, **kw)
+    return sb.inertia_milp(graph, spectrum, k, **kw)
 
 
 def compute_row(space: mt.MetricSpace, k: int, bounds: list[str],
                 time_budget: float = 60.0,
                 with_alpha: bool = True) -> RowResult:
     """Evaluate the requested bounds (plus alpha_k) for one instance."""
-    d = k + 1
+    kind = kind_of(space)
+    allowed = available_bounds(space)
+    for name in bounds:
+        if name not in allowed:
+            raise EigenboundsError(f"{space.name.replace('_', '-')} has no bound {name!r}; "
+                                   f"choose from {','.join(allowed)}")
     values: dict[str, str] = {}
     graph = None
     spectrum = None
@@ -286,44 +330,20 @@ def compute_row(space: mt.MetricSpace, k: int, bounds: list[str],
     def need_spectrum():
         nonlocal spectrum
         if spectrum is None:
-            if isinstance(space, mt.VarshamovSpace):
-                spectrum = spectrum_for(space, need_graph())
-            else:
-                spectrum = spectrum_for(space)
+            # the eigensolver route and the per-vertex inertia search share the graph
+            spectrum = spectrum_for(space, None if kind.walk_regular else need_graph())
         return spectrum
 
     for name in bounds:
         try:
             if name == "inertia":
                 sp = need_spectrum()
-                if isinstance(space, (mt.CityBlockSpace, mt.VarshamovSpace)):
-                    rep = sb.inertia_milp(need_graph(), sp, k)
-                else:
-                    rep = sb.inertia_milp_walkreg(sp, k)
-                values[name] = str(rep.floored)
+                values[name] = str(inertia_bound(space, graph, sp, k).floored)
             elif name == "ratio":
-                rep = sb.minor_polynomial_lp(need_spectrum(), k)
-                values[name] = str(rep.floored)
-            elif name == "plotkin":
-                p = cb.plotkin_city_block(space.m, space.n, d)
-                values[name] = "-" if p is None else str(math.floor(p))
-            elif name == "hamming":
-                values[name] = _frac_str(cb.hamming_city_block(space.m, space.n, d))
-            elif name == "singleton":
-                if isinstance(space, mt.PhaseRotationSpace):
-                    v = cb.singleton_phase_rotation(space.field.q, space.n, d)
-                elif isinstance(space, mt.BlockSpace):
-                    v = cb.singleton_block(space.params, d)
-                elif isinstance(space, mt.CyclicBurstSpace):
-                    v = cb.singleton_cyclic_burst(space.n, space.field.q,
-                                                  space.params.b, d)
-                else:
-                    v = cb.singleton_projective(space.params, d)
-                values[name] = str(v)
-            elif name == "varshamov":
-                values[name] = str(math.floor(cb.varshamov_bound(space.n, d)))
+                values[name] = str(sb.minor_polynomial_lp(need_spectrum(), k).floored)
             else:
-                raise EigenboundsError(f"unknown bound {name!r}")
+                v = kind.classical[name](space, k + 1)
+                values[name] = "-" if v is None else str(v)
         except NotApplicable:
             values[name] = "-"
     if with_alpha:
@@ -331,16 +351,7 @@ def compute_row(space: mt.MetricSpace, k: int, bounds: list[str],
             need_graph(), k, time_budget, initial=alpha_hints(space, k),
             automorphism_generators=automorphism_generators(space))
         values["alpha"] = str(result.alpha) if result.exact else f">={result.alpha} (timeout)"
-    params = dict(getattr(space, "params").__dict__) if hasattr(space, "params") else {}
-    params.pop("windows", None)
-    if "field" in params:
-        params["q"] = params.pop("field").q
-    if "partition" in params:
-        params["partition"] = format_partition(params["partition"])
-    if "spanning_vectors" in params:
-        params["subspaces"] = ";".join(
-            ",".join(str(c) for c in v.coords) for v in params.pop("spanning_vectors"))
-    return RowResult(space.name, params, k, values)
+    return RowResult(space.name, kind.params(space), k, values)
 
 
 # ----------------------------------------------------------------------
@@ -362,6 +373,8 @@ TABLE_CHECKED = {
     5: ("inertia", "ratio", "alpha", "singleton"),
     6: ("inertia", "alpha", "varshamov"),
 }
+TABLE_METRIC = {2: "city-block", 3: "block", 4: "cyclic-burst", 5: "phase-rotation",
+                6: "varshamov"}
 
 
 def load_fixture(table_id: int) -> list[dict]:
@@ -374,21 +387,6 @@ def load_fixture(table_id: int) -> list[dict]:
     return list(csv.DictReader(text.splitlines()))
 
 
-def _space_for_fixture_row(table_id: int, row: dict) -> tuple[mt.MetricSpace, int]:
-    k = int(row["k"])
-    if table_id == 2:
-        return make_space("city-block", m=row["m"], n=row["n"]), k
-    if table_id == 3:
-        return make_space("block", q=row["q"], partition=row["partition"]), k
-    if table_id == 4:
-        return make_space("cyclic-burst", n=row["n"], q=row["q"], b=row["b"]), k
-    if table_id == 5:
-        return make_space("phase-rotation", q=row["q"], n=row["n"]), k
-    if table_id == 6:
-        return make_space("varshamov", n=row["n"]), k
-    raise FixtureNotFound(f"table{table_id}")
-
-
 def verify_table(table_id: int, time_budget: float = 120.0,
                  report: Optional[Callable[[str], None]] = None) -> bool:
     """Recompute every checked cell of the table and diff against the fixture."""
@@ -396,13 +394,12 @@ def verify_table(table_id: int, time_budget: float = 120.0,
     keys = TABLE_KEYS[table_id]
     all_ok = True
     for row in load_fixture(table_id):
-        space, k = _space_for_fixture_row(table_id, row)
-        result = compute_row(space, k, [c for c in checked if c != "alpha"],
-                             time_budget=time_budget)
+        result = compute_row(make_space(TABLE_METRIC[table_id], **row), int(row["k"]),
+                             [c for c in checked if c != "alpha"], time_budget=time_budget)
         label = " ".join(f"{key}={row[key]}" for key in keys)
         diffs = []
         for col in checked:
-            got = result.cell(col if col != "alpha" else "alpha")
+            got = result.cell(col)
             if got != row[col]:
                 diffs.append(f"{col}: computed {got} != table {row[col]}")
         ok = not diffs

@@ -303,47 +303,23 @@ def test_criterion_9_randomized_soundness():
         completed += 1
 
         bounds = {}
-        cayley_like = isinstance(space, (mt.ProjectiveSpace, mt.PhaseRotationSpace,
-                                         mt.BlockSpace, mt.CyclicBurstSpace))
+        spec = tables.spectrum_for(space, g)
         cap = 4000  # random draws can have huge MILP optima; cap the search
-        if cayley_like:
-            spec = cayley_spectrum_abelian(space.field.q, space.n,
-                                           list(space.unit_sphere()))
-            try:
-                bounds["inertia"] = sb.inertia_milp_walkreg(spec, k, max_nodes=cap).floored
-            except BudgetExceeded:
-                bounds["inertia"] = sb.inertia_type_bound(
-                    g, spec, Polynomial.from_list([0, 1]), k).floored
+        try:
+            bounds["inertia"] = tables.inertia_bound(space, g, spec, k, max_nodes=cap).floored
+        except BudgetExceeded:
+            bounds["inertia"] = sb.inertia_type_bound(
+                g, spec, Polynomial.from_list([0, 1]), k).floored
+        kind = tables.kind_of(space)
+        if kind.walk_regular:
             bounds["ratio"] = sb.minor_polynomial_lp(spec, k).floored
-        else:
-            spec = (city_block_spectrum(space.m, space.n)
-                    if isinstance(space, mt.CityBlockSpace) else spectrum_of_graph(g))
+        for name, bound in kind.classical.items():
             try:
-                bounds["inertia"] = sb.inertia_milp(g, spec, k, max_nodes=cap).floored
-            except BudgetExceeded:
-                bounds["inertia"] = sb.inertia_type_bound(
-                    g, spec, Polynomial.from_list([0, 1]), k).floored
-        if isinstance(space, mt.CityBlockSpace):
-            p = cb.plotkin_city_block(space.m, space.n, d)
-            if p is not None:
-                bounds["plotkin"] = math.floor(p)
-            bounds["hamming"] = math.floor(cb.hamming_city_block(space.m, space.n, d))
-        elif isinstance(space, mt.PhaseRotationSpace):
-            bounds["singleton"] = cb.singleton_phase_rotation(space.field.q, space.n, d)
-        elif isinstance(space, mt.BlockSpace):
-            if d <= space.params.m + 1:
-                bounds["singleton"] = cb.singleton_block(space.params, d)
-        elif isinstance(space, mt.CyclicBurstSpace):
-            try:
-                bounds["singleton"] = cb.singleton_cyclic_burst(
-                    space.n, space.field.q, space.params.b, d)
+                value = bound(space, d)
             except NotApplicable:
-                pass
-        elif isinstance(space, mt.VarshamovSpace):
-            bounds["varshamov"] = math.floor(cb.varshamov_bound(space.n, d))
-        elif isinstance(space, mt.ProjectiveSpace):
-            if d <= space.n + 1:
-                bounds["singleton"] = cb.singleton_projective(space.params, d)
+                continue
+            if value is not None:
+                bounds[name] = value
 
         for name, value in bounds.items():
             if value < alpha:

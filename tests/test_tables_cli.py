@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eigenbounds import cli, tables
+from eigenbounds import cli, graphs as gr, tables
 from eigenbounds.errors import FixtureNotFound
 from eigenbounds.spectra import Spectrum
 
@@ -55,6 +55,56 @@ def test_load_fixture_counts():
         tables.load_fixture(7)
 
 
+# Each metric's facts, pinned independently of the registry that supplies
+# them: its bounds, whether its spectrum route is exact, and the `params` of
+# a JSON row, key order included.
+GOLDEN = [
+    ("city-block", {"m": 4, "n": 2}, ["inertia", "plotkin", "hamming"], False,
+     {"m": 4, "n": 2}),
+    ("projective", {"q": 3, "subspaces": "1,0,0;0,1,0;0,0,1;1,1,1"},
+     ["inertia", "ratio", "singleton"], True,
+     {"n": 3, "q": 3, "subspaces": "1,0,0;0,1,0;0,0,1;1,1,1"}),
+    ("phase-rotation", {"q": 3, "n": 3}, ["inertia", "ratio", "singleton"], True,
+     {"n": 3, "q": 3}),
+    ("block", {"q": 2, "partition": "1,2|3|4"}, ["inertia", "ratio", "singleton"], True,
+     {"n": 4, "partition": "1,2|3|4", "q": 2}),
+    ("cyclic-burst", {"q": 2, "n": 5, "b": 2}, ["inertia", "ratio", "singleton"], True,
+     {"n": 5, "b": 2, "q": 2}),
+    ("varshamov", {"n": 4}, ["inertia", "varshamov"], False, {"n": 4}),
+]
+
+
+@pytest.mark.parametrize("metric, params, bounds, exact, row_params", GOLDEN,
+                         ids=[g[0] for g in GOLDEN])
+def test_metric_facts(metric, params, bounds, exact, row_params):
+    space = tables.make_space(metric, **params)
+    assert tables.available_bounds(space) == bounds
+    assert tables.spectrum_for(space).exact is exact
+    argv = ["bound", metric] + [a for key, value in params.items()
+                                for a in (f"--{key}", str(value))]
+    code, text = run_cli(argv + ["--k", "1", "--format", "json"])
+    assert code == 0
+    assert list(json.loads(text)["params"].items()) == list(row_params.items())
+
+
+@pytest.mark.parametrize("metric, params, count", [
+    ("city-block", {"m": 4, "n": 3}, 5),
+    ("projective", {"q": 3, "subspaces": "1,0,0;0,1,0;0,0,1;1,1,1"}, 9),
+    ("phase-rotation", {"q": 4, "n": 3}, 16),
+    ("block", {"q": 2, "partition": "1,2|3,4|5"}, 10),
+    ("cyclic-burst", {"q": 3, "n": 4, "b": 2}, 27),
+    ("varshamov", {"n": 5}, 4),
+], ids=tables.METRIC_NAMES)
+def test_automorphism_generators_are_genuine(metric, params, count):
+    """The oracle silently drops a permutation that is not an automorphism,
+    so a broken coordinate map would only cost speed; check them here."""
+    space = tables.make_space(metric, **params)
+    g = gr.build_distance_graph(space)
+    gens = tables.automorphism_generators(space)
+    assert len(gens) == count
+    assert all(gr._is_automorphism(g, perm) for perm in gens)
+
+
 def run_cli(argv):
     out = io.StringIO()
     import contextlib
@@ -92,6 +142,25 @@ def test_cli_d_flag_equivalent():
 def test_cli_rejects_both_k_and_d():
     code, _ = run_cli(["bound", "varshamov", "--n", "3", "--k", "1", "--d", "2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "phase-rotation", "--q", "3", "--n", "2", "--k", "1", "--bounds", "plotkin"],
+     "phase-rotation has no bound 'plotkin'; choose from inertia,ratio,singleton"),
+    (["bound", "varshamov", "--n", "3", "--k", "1", "--bounds", "singleton"],
+     "varshamov has no bound 'singleton'; choose from inertia,varshamov"),
+    (["bound", "varshamov", "--n", "3", "--k", "1", "--bounds", "inertia,bogus"],
+     "varshamov has no bound 'bogus'"),
+    (["bound", "city-block", "--n", "2", "--k", "1"], "city-block needs --m"),
+    (["bound", "block", "--q", "2", "--k", "1"], "block needs --partition"),
+    (["spectrum", "projective", "--q", "2"], "projective needs --subspaces"),
+], ids=["plotkin", "singleton", "bogus", "no-m", "no-partition", "no-subspaces"])
+def test_cli_usage_error_exits_2(argv, message, capsys):
+    """A bound the metric lacks or a missing metric parameter is reported,
+    not raised as a traceback."""
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
+    assert message in capsys.readouterr().err
 
 
 def test_cli_spectrum_exact_and_check():
