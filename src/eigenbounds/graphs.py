@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import AmbientTooLarge, BudgetExceeded, Disconnected
+from .errors import AmbientTooLarge, BudgetExceeded, Disconnected, InternalError
 from .metrics import MetricSpace, enumerate_ambient
 
 MAX_DENSE_VERTICES = 2**14
@@ -51,13 +51,7 @@ class Graph:
         return bool(degs.size == 0 or np.all(degs == degs[0]))
 
     def adjacency_bitmasks(self) -> list[int]:
-        masks = []
-        for row in self.adjacency:
-            m = 0
-            for j in np.flatnonzero(row):
-                m |= 1 << int(j)
-            masks.append(m)
-        return masks
+        return _row_bitmasks(self.adjacency)
 
     def edge_list(self) -> list[tuple[int, int]]:
         ii, jj = np.nonzero(np.triu(self.adjacency, 1))
@@ -70,6 +64,12 @@ class DistanceRegularityReport:
     diameter: int
     intersection_array: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     witness: Optional[tuple] = None  # ((x, y), (x', y'), i, kind) with unequal counts
+
+
+def _row_bitmasks(matrix: np.ndarray) -> list[int]:
+    """Row i of a 0/1 matrix as the int with bit j set where matrix[i, j] is 1."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def build_distance_graph(space: MetricSpace) -> Graph:
@@ -205,32 +205,39 @@ class IndependentSetResult:
     alpha: int
     certificate: tuple[int, ...]  # vertex indices in canonical order
     exact: bool
+    nodes: int = 0  # branch-and-bound nodes expanded
+    certified: bool = False  # the search stopped because alpha reached upper_bound
+
+
+class _BoundReached(Exception):
+    """The incumbent reached the caller's upper bound, so it is maximum."""
 
 
 def _greedy_clique_cover(cand: int, adj: list[int]) -> list[tuple[int, int]]:
-    """Greedy clique cover of the candidate set.
+    """Greedy (first-fit) clique cover of the candidate set.
 
     Returns (vertex, cover_index) sorted by cover index: every vertex before
     position i lies in one of the first cover_index(v_i) cliques, so the
     independence number of {v_1..v_i} is at most cover_index(v_i).  That is
     the branch-and-bound pruning invariant.
+
+    Classes are built one at a time on bitsets (BBMC style): the lowest
+    remaining vertex starts a class, which then keeps the lowest vertex
+    adjacent to every member so far.  That is first-fit in ascending vertex
+    order, one class at a time.
     """
-    cliques: list[int] = []
     order: list[tuple[int, int]] = []
     rest = cand
+    color = 0
     while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        av = adj[v]
-        for idx, cl in enumerate(cliques):
-            if cl & ~av == 0:  # v adjacent to every clique member
-                cliques[idx] = cl | (1 << v)
-                order.append((v, idx + 1))
-                break
-        else:
-            cliques.append(1 << v)
-            order.append((v, len(cliques)))
-    order.sort(key=lambda pair: pair[1])
+        color += 1
+        q = rest
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            order.append((v, color))
+            rest ^= low
+            q &= adj[v]
     return order
 
 
@@ -288,6 +295,7 @@ def _orbit_representatives(cand: int, gens: list[list[int]]) -> list[int]:
 def max_independent_set(g: Graph, time_budget: float = 60.0,
                         initial: Iterable[Sequence[int]] = (),
                         automorphism_generators: Iterable[Sequence[int]] = (),
+                        upper_bound: Optional[int] = None,
                         ) -> IndependentSetResult:
     """Exact maximum independent set by branch and bound.
 
@@ -304,32 +312,22 @@ def max_independent_set(g: Graph, time_budget: float = 60.0,
     one containing a representative, so the maximum over representative
     branches is the maximum overall.
 
+    `upper_bound` may carry a proven bound on alpha: the search stops with
+    exact=True and certified=True as soon as the incumbent reaches it.  An
+    incumbent above it means the bound is wrong, and raises InternalError.
+
     If the time budget runs out the best set found so far is returned with
     exact=False.
     """
     n = g.n_vertices
     if n == 0:
         return IndependentSetResult(0, (), True)
-    degs = g.degree_list
-    perm = sorted(range(n), key=lambda v: (-int(degs[v]), v))
+    perm = np.argsort(-g.degree_list, kind="stable")  # descending degree, then index
+    adj = _row_bitmasks(g.adjacency[np.ix_(perm, perm)])
+    perm = perm.tolist()
     pos = [0] * n
     for p, v in enumerate(perm):
         pos[v] = p
-    raw_masks = g.adjacency_bitmasks()
-    adj = [0] * n
-    for v in range(n):
-        m = 0
-        rest = raw_masks[v]
-        while rest:
-            w = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            m |= 1 << pos[w]
-        adj[pos[v]] = m
-
-    gens = []
-    for candidate in automorphism_generators:
-        if _is_automorphism(g, candidate):
-            gens.append([pos[candidate[perm[p]]] for p in range(n)])
 
     full = (1 << n) - 1
     best_mask = _greedy_independent(full, adj)
@@ -350,8 +348,15 @@ def max_independent_set(g: Graph, time_budget: float = 60.0,
             best_mask = hmask
 
     best = [bin(best_mask).count("1"), best_mask]
+    stop = n + 1 if upper_bound is None else upper_bound
     deadline = time.monotonic() + time_budget
     nodes = [0]
+
+    def improve(size: int, chosen: int) -> None:
+        best[0] = size
+        best[1] = chosen
+        if size >= stop:
+            raise _BoundReached
 
     def expand(cand: int, size: int, chosen: int, depth: int,
                active_gens: list[list[int]]) -> None:
@@ -369,30 +374,34 @@ def max_independent_set(g: Graph, time_budget: float = 60.0,
                     fixed = [gen for gen in active_gens if gen[rep] == rep]
                     expand(new_cand, size + 1, new_chosen, depth + 1, fixed)
                 elif size + 1 > best[0]:
-                    best[0] = size + 1
-                    best[1] = new_chosen
+                    improve(size + 1, new_chosen)
             return
-        prefix = [0] * (len(order) + 1)
-        for i, (v, _) in enumerate(order):
-            prefix[i + 1] = prefix[i] | (1 << v)
-        for i in range(len(order) - 1, -1, -1):
-            v, bound = order[i]
+        # `cand` shrinks to the cover-order prefix before v as the loop runs
+        for v, bound in reversed(order):
             if size + bound <= best[0]:
                 return
+            cand ^= 1 << v
             new_chosen = chosen | (1 << v)
-            new_cand = cand & prefix[i] & ~adj[v]
+            new_cand = cand & ~adj[v]
             if new_cand:
                 expand(new_cand, size + 1, new_chosen, depth + 1, [])
             elif size + 1 > best[0]:
-                best[0] = size + 1
-                best[1] = new_chosen
-            cand &= ~(1 << v)
+                improve(size + 1, new_chosen)
 
     exact = True
-    try:
-        expand(full, 0, 0, 0, gens)
-    except BudgetExceeded:
-        exact = False
+    certified = best[0] >= stop
+    if not certified:
+        gens = [[pos[candidate[perm[p]]] for p in range(n)]
+                for candidate in automorphism_generators if _is_automorphism(g, candidate)]
+        try:
+            expand(full, 0, 0, 0, gens)
+        except BudgetExceeded:
+            exact = False
+        except _BoundReached:
+            certified = True
+    if best[0] > stop:
+        raise InternalError(f"upper bound {upper_bound} is below an independent set "
+                            f"of size {best[0]}")
 
     cert = []
     rest = best[1]
@@ -402,16 +411,15 @@ def max_independent_set(g: Graph, time_budget: float = 60.0,
         cert.append(perm[p])
     cert.sort()
     # certificate sanity: independence in the original adjacency
-    for i, v in enumerate(cert):
-        for w in cert[i + 1:]:
-            if g.adjacency[v, w]:
-                raise AssertionError("internal error: certificate not independent")
-    return IndependentSetResult(best[0], tuple(cert), exact)
+    if g.adjacency[np.ix_(cert, cert)].any():
+        raise AssertionError("internal error: certificate not independent")
+    return IndependentSetResult(best[0], tuple(cert), exact, nodes[0], certified)
 
 
 def k_independence_number(g: Graph, k: int, time_budget: float = 60.0,
                           initial: Iterable[Sequence[int]] = (),
                           automorphism_generators: Iterable[Sequence[int]] = (),
+                          upper_bound: Optional[int] = None,
                           ) -> IndependentSetResult:
     """alpha_k(G) = alpha(G^k); equals the max code size at minimum distance k+1.
 
@@ -420,7 +428,8 @@ def k_independence_number(g: Graph, k: int, time_budget: float = 60.0,
     re-checks them against G^k regardless.
     """
     return max_independent_set(power_graph(g, k), time_budget, initial=initial,
-                               automorphism_generators=automorphism_generators)
+                               automorphism_generators=automorphism_generators,
+                               upper_bound=upper_bound)
 
 
 def export_edge_list(g: Graph) -> str:

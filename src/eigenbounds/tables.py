@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -37,7 +38,10 @@ def field_for(q: int):
 
 def parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
     """Parse "1,2|3,4|5,6" into a partition tuple."""
-    return tuple(tuple(int(x) for x in blk.split(",")) for blk in text.split("|"))
+    try:
+        return tuple(tuple(int(x) for x in blk.split(",")) for blk in text.split("|"))
+    except ValueError:
+        raise EigenboundsError(f"--partition {text!r} is not of the form 1,2|3,4") from None
 
 
 def format_partition(partition) -> str:
@@ -102,6 +106,58 @@ def _block_hints(space: mt.BlockSpace, k: int) -> list[list[int]]:
     return hints
 
 
+LINEAR_CODE_CANDIDATES = 4096  # generator matrices one linear-code search may try
+
+
+def linear_code_hint(space, k: int, target: int) -> list[int]:
+    """Vertex indices of a linear code over GF(q) whose nonzero words all have
+    metric `weight` > k, so that it is independent in the k-th power graph.
+
+    Tries systematic generator matrices [I_r | A], A in lexicographic order,
+    for r from floor(log_q target) down to 1, and returns the first code
+    found.  Returns [] once LINEAR_CODE_CANDIDATES matrices have failed.
+    """
+    f, n = space.field, space.n
+    q, add, mul = f.q, f.add_table, f.mul_table
+    weights: dict[tuple[int, ...], int] = {}
+
+    def heavy(word: tuple[int, ...]) -> bool:
+        if word not in weights:
+            weights[word] = space.weight(FieldVector(f, word))
+        return weights[word] > k
+
+    def index(word: tuple[int, ...]) -> int:  # position in the lexicographic enumeration
+        i = 0
+        for c in word:
+            i = i * q + c
+        return i
+
+    top = 0
+    while top < n and q ** (top + 1) <= target:
+        top += 1
+    tried = 0
+    for r in range(top, 0, -1):
+        coefficients = [c for c in itertools.product(range(q), repeat=r) if any(c)]
+        for entries in itertools.product(range(q), repeat=r * (n - r)):
+            if tried == LINEAR_CODE_CANDIDATES:
+                return []
+            tried += 1
+            rows = [entries[i * (n - r):(i + 1) * (n - r)] for i in range(r)]
+            words = []
+            for c in coefficients:
+                tail = [0] * (n - r)
+                for ci, row in zip(c, rows):
+                    for j, a in enumerate(row):
+                        tail[j] = add[tail[j]][mul[ci][a]]
+                word = c + tuple(tail)
+                if not heavy(word):
+                    break
+                words.append(word)
+            else:
+                return sorted([0] + [index(w) for w in words])
+    return []
+
+
 def _transpose(*pairs):
     """The coordinate map exchanging each pair of 0-indexed positions."""
     def fn(c):
@@ -141,12 +197,19 @@ class MetricKind:
     params: Callable  # space -> the `params` dict of a row
     coordinate_maps: Callable = lambda space: []  # space -> isometries of coordinate tuples
     hints: Callable = lambda space, k: []  # (space, k) -> candidate sets for the alpha oracle
+    # a translation-invariant weight metric on GF(q)^n: translations and
+    # scalings are automorphisms, and linear codes are candidate sets
+    field_metric: bool = True
 
 
 def _build_projective(p) -> mt.MetricSpace:
     field = field_for(int(p("q")))
-    vecs = tuple(FieldVector(field, tuple(int(x) for x in chunk.split(",")))
-                 for chunk in p("subspaces").split(";"))
+    try:
+        vecs = tuple(FieldVector(field, tuple(int(x) for x in chunk.split(",")))
+                     for chunk in p("subspaces").split(";"))
+    except ValueError:
+        raise EigenboundsError(f"--subspaces {p('subspaces')!r} is not of the form "
+                               "1,0;0,1;1,1") from None
     return mt.ProjectiveSpace(mt.ProjectiveParams(field, len(vecs[0]), vecs))
 
 
@@ -179,7 +242,8 @@ KINDS: dict[str, MetricKind] = {
         coordinate_maps=lambda s: _adjacent_swaps(s) + [  # then reflections
             lambda x, i=i: x[:i] + (s.m - 1 - x[i],) + x[i + 1:] for i in range(s.n)],
         hints=lambda s, k: [[i for i, x in enumerate(s.elements())
-                             if sum(x) % 2 == 0]] if k == 1 else []),
+                             if sum(x) % 2 == 0]] if k == 1 else [],
+        field_metric=False),
     "projective": MetricKind(
         build=_build_projective,
         spectrum=_cayley_spectrum,
@@ -220,7 +284,8 @@ KINDS: dict[str, MetricKind] = {
         walk_regular=False,
         classical={"varshamov": lambda s, d: math.floor(cb.varshamov_bound(s.n, d))},
         params=lambda s: {"n": s.n},
-        coordinate_maps=_adjacent_swaps),
+        coordinate_maps=_adjacent_swaps,
+        field_metric=False),
 }
 METRIC_NAMES = tuple(KINDS)
 
@@ -248,13 +313,22 @@ def spectrum_for(space: mt.MetricSpace, graph: Optional[gr.Graph] = None) -> Spe
     return kind_of(space).spectrum(space, graph)
 
 
-def alpha_hints(space: mt.MetricSpace, k: int) -> list[list[int]]:
+def alpha_hints(space: mt.MetricSpace, k: int,
+                target: Optional[int] = None) -> list[list[int]]:
     """Candidate code constructions used only as initial incumbents.
 
-    Each is validated by direct adjacency check inside the solver; they
-    never replace the branch-and-bound optimality proof.
+    With a `target` (a proven bound on alpha_k), a field metric whose
+    constructions all fall short of it also gets a linear code.  Each hint
+    is validated by direct adjacency check inside the solver; they never
+    replace the branch-and-bound optimality proof.
     """
-    return kind_of(space).hints(space, k)
+    kind = kind_of(space)
+    hints = kind.hints(space, k)
+    if target is not None and kind.field_metric and max(map(len, hints), default=0) < target:
+        code = linear_code_hint(space, k, target)
+        if code:
+            hints = hints + [code]
+    return hints
 
 
 def automorphism_generators(space: mt.MetricSpace) -> list[list[int]]:
@@ -268,8 +342,9 @@ def automorphism_generators(space: mt.MetricSpace) -> list[list[int]]:
     """
     labels = space.elements()
     index = {x: i for i, x in enumerate(labels)}
-    maps = kind_of(space).coordinate_maps(space)
-    if isinstance(labels[0], FieldVector):
+    kind = kind_of(space)
+    maps = kind.coordinate_maps(space)
+    if kind.field_metric:
         maps = ([lambda x, s=s: x + s for s in space.unit_sphere()]
                 + [lambda x, c=c: x.scale(c) for c in space.field.nonzero() if c != 1]
                 + [lambda x, fn=fn: FieldVector(x.field, fn(x.coords)) for fn in maps])
@@ -288,6 +363,8 @@ class RowResult:
     params: dict
     k: int
     values: dict
+    oracle: Optional[gr.IndependentSetResult] = None  # the alpha_k search, if it ran
+    certified_by: Optional[str] = None  # the bound whose value the search stopped at
 
     def cell(self, name: str) -> str:
         return self.values.get(name, "-")
@@ -310,7 +387,12 @@ def inertia_bound(space: mt.MetricSpace, graph: Optional[gr.Graph], spectrum: Sp
 def compute_row(space: mt.MetricSpace, k: int, bounds: list[str],
                 time_budget: float = 60.0,
                 with_alpha: bool = True) -> RowResult:
-    """Evaluate the requested bounds (plus alpha_k) for one instance."""
+    """Evaluate the requested bounds (plus alpha_k) for one instance.
+
+    The smallest proven bound among them (a classical bound, or inertia or
+    ratio on an exact spectrum) is passed to the oracle as `upper_bound`,
+    and seeds the linear-code hint.
+    """
     kind = kind_of(space)
     allowed = available_bounds(space)
     for name in bounds:
@@ -334,24 +416,38 @@ def compute_row(space: mt.MetricSpace, k: int, bounds: list[str],
             spectrum = spectrum_for(space, None if kind.walk_regular else need_graph())
         return spectrum
 
+    proven: dict[str, int] = {}  # bound name -> floored value; a float spectrum proves nothing
     for name in bounds:
         try:
-            if name == "inertia":
+            if name in ("inertia", "ratio"):
                 sp = need_spectrum()
-                values[name] = str(inertia_bound(space, graph, sp, k).floored)
-            elif name == "ratio":
-                values[name] = str(sb.minor_polynomial_lp(need_spectrum(), k).floored)
+                report = (inertia_bound(space, graph, sp, k) if name == "inertia"
+                          else sb.minor_polynomial_lp(sp, k))
+                values[name] = str(report.floored)
+                if report.exact:
+                    proven[name] = report.floored
             else:
                 v = kind.classical[name](space, k + 1)
                 values[name] = "-" if v is None else str(v)
+                if v is not None:
+                    proven[name] = math.floor(v)
         except NotApplicable:
             values[name] = "-"
+    row = RowResult(space.name, kind.params(space), k, values)
     if with_alpha:
-        result = gr.k_independence_number(
-            need_graph(), k, time_budget, initial=alpha_hints(space, k),
-            automorphism_generators=automorphism_generators(space))
-        values["alpha"] = str(result.alpha) if result.exact else f">={result.alpha} (timeout)"
-    return RowResult(space.name, kind.params(space), k, values)
+        certifier = min(proven, key=proven.get, default=None)
+        upper = proven.get(certifier)
+
+        def generators():  # built only if the hints fall short and the oracle searches
+            yield from automorphism_generators(space)
+        row.oracle = gr.k_independence_number(
+            need_graph(), k, time_budget, initial=alpha_hints(space, k, upper),
+            automorphism_generators=generators(), upper_bound=upper)
+        alpha = row.oracle.alpha
+        values["alpha"] = str(alpha) if row.oracle.exact else f">={alpha} (timeout)"
+        if row.oracle.certified:
+            row.certified_by = certifier
+    return row
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,14 @@ import random
 import numpy as np
 import pytest
 
+import math
+from fractions import Fraction
+
 from eigenbounds.algebra import make_field
-from eigenbounds.errors import Disconnected
+from eigenbounds.errors import Disconnected, InternalError
 from eigenbounds import graphs as gr
 from eigenbounds import metrics as mt
+from eigenbounds import tables
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -204,6 +208,80 @@ def test_mis_time_budget_inexact():
     assert res.alpha >= 1  # greedy incumbent survives
 
 
+def _first_fit_clique_cover(cand, adj):
+    """Reference cover: each candidate in ascending order joins the first
+    clique whose every member it is adjacent to."""
+    cliques, order = [], []
+    rest = cand
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        for idx, cl in enumerate(cliques):
+            if cl & ~adj[v] == 0:
+                cliques[idx] = cl | (1 << v)
+                order.append((v, idx + 1))
+                break
+        else:
+            cliques.append(1 << v)
+            order.append((v, len(cliques)))
+    order.sort(key=lambda pair: pair[1])
+    return order
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clique_cover_equals_first_fit(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.randrange(1, 80)
+        density = rng.choice((0.1, 0.5, 0.9))
+        g = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < density])
+        adj = g.adjacency_bitmasks()
+        cand = rng.getrandbits(n)
+        assert gr._greedy_clique_cover(cand, adj) == _first_fit_clique_cover(cand, adj)
+
+
+def test_adjacency_bitmasks_match_loop():
+    rng = random.Random(5)
+    for n in (1, 7, 8, 9, 64, 65, 130):
+        g = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < 0.3])
+        loop = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in g.adjacency]
+        assert g.adjacency_bitmasks() == loop
+
+
+def test_mis_node_count_is_pinned():
+    """The search tree depends only on the graph: phase rotation (3,5), k=2
+    with its automorphisms expands 124,410 nodes and no bound stops it."""
+    space = pr_space(3, 5)
+    res = gr.k_independence_number(
+        gr.build_distance_graph(space), 2, initial=tables.alpha_hints(space, 2),
+        automorphism_generators=tables.automorphism_generators(space))
+    assert (res.alpha, res.nodes, res.exact, res.certified) == (11, 124410, True, False)
+
+
+def test_mis_upper_bound_exit():
+    g = gr.build_distance_graph(pr_space(3, 4))
+    free = gr.k_independence_number(g, 2)
+    assert (free.alpha, free.exact, free.certified) == (6, True, False)
+    at = gr.k_independence_number(g, 2, upper_bound=free.alpha)
+    assert (at.alpha, at.exact, at.certified) == (free.alpha, True, True)
+    assert at.nodes <= free.nodes
+    above = gr.k_independence_number(g, 2, upper_bound=free.alpha + 1)
+    assert (above.alpha, above.exact, above.certified, above.nodes) == \
+        (free.alpha, True, False, free.nodes)
+    pg = gr.power_graph(g, 2)
+    for res in (at, above):
+        assert len(res.certificate) == res.alpha
+        assert not pg.adjacency[np.ix_(res.certificate, res.certificate)].any()
+
+
+def test_mis_upper_bound_below_a_hint_raises():
+    g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    with pytest.raises(InternalError):
+        gr.max_independent_set(g, initial=[[0, 2, 4]], upper_bound=2)
+
+
 def test_k_independence_examples():
     g = gr.build_distance_graph(mt.CityBlockSpace(3, 2))
     assert gr.k_independence_number(g, 2).alpha == 2
@@ -214,3 +292,41 @@ def test_k_independence_examples():
 def test_export_edge_list():
     p3 = graph_from_edges(3, [(0, 1), (1, 2)])
     assert gr.export_edge_list(p3) == "3 2\n0 1\n1 2\n"
+
+
+# Every metric, at most 20 vertices: small enough for the plain recursion.
+SMALL_SPACES = [
+    ("city-block", {"m": 3, "n": 2}), ("city-block", {"m": 4, "n": 2}),
+    ("city-block", {"m": 6, "n": 1}),
+    ("phase-rotation", {"q": 2, "n": 4}), ("phase-rotation", {"q": 3, "n": 2}),
+    ("phase-rotation", {"q": 4, "n": 2}),
+    ("block", {"q": 2, "partition": "1,2|3,4"}), ("block", {"q": 2, "partition": "1|2|3,4"}),
+    ("block", {"q": 4, "partition": "1|2"}),
+    ("cyclic-burst", {"q": 2, "n": 4, "b": 2}), ("cyclic-burst", {"q": 2, "n": 4, "b": 3}),
+    ("projective", {"q": 3, "subspaces": "1,0;0,1;1,1"}),
+    ("projective", {"q": 2, "subspaces": "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1;1,1,0,1"}),
+    ("varshamov", {"n": 3}), ("varshamov", {"n": 4}),
+]
+
+
+@pytest.mark.parametrize("metric, params", SMALL_SPACES,
+                         ids=[f"{m}-{'-'.join(map(str, p.values()))}" for m, p in SMALL_SPACES])
+def test_alpha_cross_check_bruteforce(metric, params):
+    """The oracle with hints, automorphism generators (orbit branching) and
+    an upper bound agrees with the unbounded recursion, on every k."""
+    space = tables.make_space(metric, **params)
+    g = gr.build_distance_graph(space)
+    assert g.n_vertices <= 20
+    dist = gr.all_pairs_graph_distance(g)
+    gens = tables.automorphism_generators(space)
+    for k in range(1, int(dist.max()) + 1):
+        truth = _alpha_bruteforce(gr.power_graph(g, k, dist).adjacency_bitmasks())
+        for bound in (None, truth, truth + 1):
+            res = gr.k_independence_number(
+                g, k, initial=tables.alpha_hints(space, k, bound),
+                automorphism_generators=gens, upper_bound=bound)
+            assert (res.alpha, res.exact, res.certified) == (truth, True, bound == truth)
+        row = tables.compute_row(space, k, tables.available_bounds(space))
+        assert row.cell("alpha") == str(truth)
+        if row.certified_by is not None:
+            assert math.floor(Fraction(row.cell(row.certified_by))) == truth

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eigenbounds import cli, graphs as gr, tables
@@ -154,13 +155,42 @@ def test_cli_rejects_both_k_and_d():
     (["bound", "city-block", "--n", "2", "--k", "1"], "city-block needs --m"),
     (["bound", "block", "--q", "2", "--k", "1"], "block needs --partition"),
     (["spectrum", "projective", "--q", "2"], "projective needs --subspaces"),
-], ids=["plotkin", "singleton", "bogus", "no-m", "no-partition", "no-subspaces"])
+    (["bound", "block", "--q", "2", "--partition", "1,x", "--k", "1"],
+     "--partition '1,x' is not of the form"),
+    (["bound", "projective", "--q", "2", "--subspaces", "1,0;0,a", "--k", "1"],
+     "--subspaces '1,0;0,a' is not of the form"),
+], ids=["plotkin", "singleton", "bogus", "no-m", "no-partition", "no-subspaces",
+        "bad-partition", "bad-subspaces"])
 def test_cli_usage_error_exits_2(argv, message, capsys):
-    """A bound the metric lacks or a missing metric parameter is reported,
-    not raised as a traceback."""
+    """A bound the metric lacks, a missing metric parameter or malformed
+    parameter text is reported, not raised as a traceback."""
     code, text = run_cli(argv)
     assert code == 2 and text == ""
     assert message in capsys.readouterr().err
+
+
+def test_linear_code_hints():
+    """For every field-metric row of tables 3-5 the linear-code hint for the
+    row's smallest bound is independent in the power graph; on three rows it
+    reaches that bound, so the oracle stops without searching."""
+    reached = {}
+    for table_id in (3, 4, 5):
+        for row in tables.load_fixture(table_id):
+            space = tables.make_space(tables.TABLE_METRIC[table_id], **row)
+            k = int(row["k"])
+            target = min(int(row[c]) for c in ("inertia", "ratio", "singleton")
+                         if row[c] != "-")
+            hint = tables.linear_code_hint(space, k, target)
+            adjacency = gr.power_graph(gr.build_distance_graph(space), k).adjacency
+            assert not adjacency[np.ix_(hint, hint)].any()
+            assert len(hint) <= int(row["alpha"])
+            if table_id == 5:
+                reached[row["q"], row["n"], row["k"]] = len(hint) == target
+    assert reached["5", "4", "2"] and reached["4", "4", "2"] and reached["5", "4", "3"]
+
+    row = tables.compute_row(tables.make_space("phase-rotation", q=5, n=4), 2,
+                             ["inertia", "ratio", "singleton"])
+    assert (row.cell("alpha"), row.certified_by, row.oracle.nodes) == ("25", "ratio", 0)
 
 
 def test_cli_spectrum_exact_and_check():
