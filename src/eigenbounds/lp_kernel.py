@@ -1,6 +1,8 @@
 """Exact rational linear programming: two-phase primal simplex with Bland's
-rule, a feasibility front end that reports Farkas row supports, and the
-best-first binary enumeration driver used by the inertia MILPs.
+rule over standard-form programs (every variable x >= 0; callers split a
+free variable into two columns), a feasibility front end that reports
+Farkas row supports, and the best-first binary enumeration driver used by
+the inertia MILPs.
 
 Everything is Fraction arithmetic end to end; the callers rationalize any
 floating-point spectra before building programs (fixed 2^40 denominators,
@@ -14,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .errors import BudgetExceeded, NoFeasibleAssignment, TooLarge
+from .errors import BudgetExceeded, DimensionMismatch, NoFeasibleAssignment, TooLarge
 
 MAX_VARIABLES = 128
 
@@ -27,14 +29,14 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize objective . x subject to rows (coeffs, rel, rhs).
+    """minimize objective . x subject to rows (coeffs, rel, rhs) and x >= 0.
 
-    bounds[j] = (lo, hi) with None for unbounded; variables default to free.
+    Standard form only: a caller with a free variable a splits it into two
+    columns, a = x_plus - x_minus.
     """
 
     objective: tuple
     constraints: tuple
-    bounds: Optional[tuple] = None
 
 
 @dataclass
@@ -120,78 +122,23 @@ def _run_simplex(tab: _Tableau, cost: list[Fraction],
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
-    """Exact optimum of a small LP via two-phase simplex."""
+    """Exact optimum of a small standard-form LP (x >= 0) via two-phase simplex."""
     nvars = len(lp.objective)
     if nvars > MAX_VARIABLES:
         raise TooLarge(f"{nvars} variables exceeds the {MAX_VARIABLES} guard")
-    bounds = lp.bounds if lp.bounds is not None else ((None, None),) * nvars
-    obj = [_fr(c) for c in lp.objective]
 
-    # variable transform to u >= 0: x_j = shift_j + sign_j * u_a (+ -u_b if free)
-    col_of: list[tuple] = []  # per original var: ("pair", a, b) | ("lo", a, lo) | ("hi", a, hi)
-    ncols = 0
-    extra_rows: list[tuple] = []
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is None and hi is None:
-            col_of.append(("pair", ncols, ncols + 1))
-            ncols += 2
-        elif lo is not None:
-            col_of.append(("lo", ncols, _fr(lo)))
-            if hi is not None:
-                extra_rows.append((j, _fr(hi) - _fr(lo)))
-            ncols += 1
-        else:
-            col_of.append(("hi", ncols, _fr(hi)))
-            ncols += 1
-
-    def expand(coeffs: Sequence) -> tuple[list[Fraction], Fraction]:
-        """Rewrite a row over x into a row over u; returns (row, rhs shift)."""
-        row = [Fraction(0)] * ncols
-        shift = Fraction(0)
-        for j, c in enumerate(coeffs):
-            c = _fr(c)
-            if not c:
-                continue
-            kind = col_of[j]
-            if kind[0] == "pair":
-                row[kind[1]] += c
-                row[kind[2]] -= c
-            elif kind[0] == "lo":
-                row[kind[1]] += c
-                shift += c * kind[2]
-            else:  # hi: x = hi - u
-                row[kind[1]] -= c
-                shift += c * kind[2]
-        return row, shift
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    rels: list[str] = []
-    origin: list[int] = []  # original constraint index (or -1 for bound rows)
-    for idx, (coeffs, rel, b) in enumerate(lp.constraints):
-        row, shift = expand(coeffs)
-        rows.append(row)
-        rhs.append(_fr(b) - shift)
-        rels.append(rel)
-        origin.append(idx)
-    for j, ub in extra_rows:
-        row = [Fraction(0)] * ncols
-        row[col_of[j][1]] = Fraction(1)
-        rows.append(row)
-        rhs.append(ub)
-        rels.append(LE)
-        origin.append(-1)
-
-    # slacks, sign-fix, artificials; every row i reads its dual from dual_col[i]
-    m = len(rows)
-    slack_cols = 0
-    for rel in rels:
-        if rel in (LE, GE):
-            slack_cols += 1
-    total = ncols + slack_cols + m  # worst case: artificial on every row
-    for i in range(m):
-        rows[i] = rows[i] + [Fraction(0)] * (total - ncols)
-    next_col = ncols
+    # slacks, sign-fix, artificials; every row i reads its dual from dual_read[i]
+    m = len(lp.constraints)
+    rels = [rel for _, rel, _ in lp.constraints]
+    rhs = [_fr(b) for _, _, b in lp.constraints]
+    total = nvars + sum(rel != EQ for rel in rels) + m  # worst case: artificial on every row
+    rows = []
+    for coeffs, _, _ in lp.constraints:
+        row = [_fr(c) for c in coeffs]
+        if len(row) > nvars:
+            raise DimensionMismatch(f"a row has {len(row)} coefficients for {nvars} variables")
+        rows.append(row + [Fraction(0)] * (total - len(row)))
+    next_col = nvars
     art_cols: list[int] = []
     dual_read: list[tuple[int, int]] = []  # (column, kind 0=slack 1=artificial)
     tab = _Tableau(rows, rhs)
@@ -233,8 +180,8 @@ def solve_lp(lp: LinearProgram) -> LpResult:
             for i in range(m):
                 col, kind = dual_read[i]
                 y = (1 - rc[col]) if kind == 1 else -rc[col]
-                if y != 0 and origin[i] >= 0:
-                    support.add(origin[i])
+                if y != 0:
+                    support.add(i)
             return LpResult(INFEASIBLE, farkas_rows=frozenset(support))
         # drive leftover artificials out of the basis where possible
         for i in range(m):
@@ -244,43 +191,19 @@ def solve_lp(lp: LinearProgram) -> LpResult:
                         tab.pivot(i, j)
                         break
 
-    cost = [Fraction(0)] * used
-    for j in range(nvars):
-        kind = col_of[j]
-        if kind[0] == "pair":
-            cost[kind[1]] += obj[j]
-            cost[kind[2]] -= obj[j]
-        elif kind[0] == "lo":
-            cost[kind[1]] += obj[j]
-        else:
-            cost[kind[1]] -= obj[j]
+    cost = [_fr(c) for c in lp.objective] + [Fraction(0)] * (used - nvars)
     status, value, _ = _run_simplex(tab, cost, banned=frozenset(art_set))
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
-
-    uvals = [Fraction(0)] * used
+    solution = [Fraction(0)] * used
     for i, b in enumerate(tab.basis):
-        uvals[b] = tab.rhs[i]
-    solution = []
-    const_term = Fraction(0)
-    for j in range(nvars):
-        kind = col_of[j]
-        if kind[0] == "pair":
-            solution.append(uvals[kind[1]] - uvals[kind[2]])
-        elif kind[0] == "lo":
-            solution.append(kind[2] + uvals[kind[1]])
-            const_term += obj[j] * kind[2]
-        else:
-            solution.append(kind[2] - uvals[kind[1]])
-            const_term += obj[j] * kind[2]
-    return LpResult(OPTIMAL, value + const_term, tuple(solution))
+        solution[b] = tab.rhs[i]
+    return LpResult(OPTIMAL, value, tuple(solution[:nvars]))
 
 
-def solve_feasibility(constraints: Sequence, n_vars: int,
-                      bounds: Optional[tuple] = None) -> LpResult:
-    """Phase-1 only: feasibility of the constraint system (zero objective)."""
-    lp = LinearProgram(tuple(Fraction(0) for _ in range(n_vars)),
-                       tuple(constraints), bounds)
+def solve_feasibility(constraints: Sequence, n_vars: int) -> LpResult:
+    """Phase-1 only: feasibility of the constraint system over x >= 0."""
+    lp = LinearProgram(tuple(Fraction(0) for _ in range(n_vars)), tuple(constraints))
     return solve_lp(lp)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
@@ -25,7 +24,6 @@ from .algebra import (
     row_reduce,
     span_contains,
     unit_vector,
-    zero_vector,
 )
 from .errors import AmbientTooLarge, DimensionMismatch, InternalError, InvalidElement
 
@@ -178,10 +176,6 @@ def projective_weight(x: FieldVector, params: ProjectiveParams) -> int:
     raise InternalError("full-span invariant violated")  # pragma: no cover
 
 
-def projective_distance(x: FieldVector, y: FieldVector, params: ProjectiveParams) -> int:
-    return projective_weight(x - y, params)
-
-
 def phase_rotation_weight(v: FieldVector, params: PhaseRotationParams) -> int:
     """min(wt(v), 1 + min_{c != 0} wt(v - c*1)): cover by e_i's, optionally 1."""
     f = params.field
@@ -271,13 +265,36 @@ class MetricSpace:
         """Exact unit sphere around x (the d(x, .) = 1 set)."""
         raise NotImplementedError
 
-    def diameter_hint(self) -> int | None:
-        return None
-
 
 def _field_tuples(field: FiniteField, n: int) -> Iterator[FieldVector]:
     for coords in itertools.product(range(field.q), repeat=n):
         yield FieldVector(field, coords)
+
+
+def _scalings(field: FiniteField, vectors: Iterable[FieldVector]) -> tuple[FieldVector, ...]:
+    """Every nonzero multiple of each vector, in order of first appearance."""
+    seen: dict[tuple, FieldVector] = {}
+    for v in vectors:
+        for c in field.nonzero():
+            s = v.scale(c)
+            seen.setdefault(s.coords, s)
+    return tuple(seen.values())
+
+
+def _window_vectors(field: FiniteField, n: int,
+                    windows: Iterable[Iterable[int]]) -> tuple[FieldVector, ...]:
+    """Every nonzero vector supported inside one window (1-indexed
+    positions), window by window, in order of first appearance."""
+    seen: dict[tuple, FieldVector] = {}
+    for win in windows:
+        positions = [p - 1 for p in sorted(win)]
+        for values in itertools.product(range(field.q), repeat=len(positions)):
+            if any(values):
+                coords = [0] * n
+                for pos, val in zip(positions, values):
+                    coords[pos] = val
+                seen.setdefault(tuple(coords), FieldVector(field, tuple(coords)))
+    return tuple(seen.values())
 
 
 class _FieldMetricSpace(MetricSpace):
@@ -297,9 +314,10 @@ class _FieldMetricSpace(MetricSpace):
     def elements(self) -> list[FieldVector]:
         return list(_field_tuples(self.field, self.n))
 
-    def unit_sphere(self) -> list[FieldVector]:
-        """All weight-1 difference vectors; subclasses generate directly."""
-        raise NotImplementedError
+    def unit_sphere(self) -> tuple[FieldVector, ...]:
+        """All weight-1 difference vectors; subclasses compute them once in
+        `__init__`, in the order orbit branching relies on."""
+        return self._unit_sphere
 
     def neighbors(self, x: FieldVector) -> Iterator[FieldVector]:
         for s in self.unit_sphere():
@@ -327,9 +345,6 @@ class CityBlockSpace(MetricSpace):
             if v < self.m - 1:
                 yield x[:i] + (v + 1,) + x[i + 1:]
 
-    def diameter_hint(self) -> int:
-        return self.n * (self.m - 1)
-
 
 class ProjectiveSpace(_FieldMetricSpace):
     name = PROJECTIVE
@@ -337,18 +352,10 @@ class ProjectiveSpace(_FieldMetricSpace):
     def __init__(self, params: ProjectiveParams):
         super().__init__(params.field, params.n)
         self.params = params
+        self._unit_sphere = _scalings(self.field, params.spanning_vectors)
 
     def weight(self, v: FieldVector) -> int:
         return projective_weight(v, self.params)
-
-    @lru_cache(maxsize=None)
-    def unit_sphere(self) -> tuple[FieldVector, ...]:
-        seen = {}
-        for f in self.params.spanning_vectors:
-            for c in self.field.nonzero():
-                s = f.scale(c)
-                seen[s.coords] = s
-        return tuple(seen.values())
 
 
 class PhaseRotationSpace(_FieldMetricSpace):
@@ -357,20 +364,11 @@ class PhaseRotationSpace(_FieldMetricSpace):
     def __init__(self, field: FiniteField, n: int):
         super().__init__(field, n)
         self.params = PhaseRotationParams(field, n)
+        gens = [unit_vector(field, n, i) for i in range(n)] + [ones_vector(field, n)]
+        self._unit_sphere = _scalings(field, gens)
 
     def weight(self, v: FieldVector) -> int:
         return phase_rotation_weight(v, self.params)
-
-    @lru_cache(maxsize=None)
-    def unit_sphere(self) -> tuple[FieldVector, ...]:
-        seen = {}
-        gens = [unit_vector(self.field, self.n, i) for i in range(self.n)]
-        gens.append(ones_vector(self.field, self.n))
-        for g in gens:
-            for c in self.field.nonzero():
-                s = g.scale(c)
-                seen[s.coords] = s
-        return tuple(seen.values())
 
 
 class BlockSpace(_FieldMetricSpace):
@@ -379,23 +377,10 @@ class BlockSpace(_FieldMetricSpace):
     def __init__(self, params: BlockParams):
         super().__init__(params.field, params.n)
         self.params = params
+        self._unit_sphere = _window_vectors(self.field, self.n, params.partition)
 
     def weight(self, v: FieldVector) -> int:
         return block_weight(v, self.params)
-
-    @lru_cache(maxsize=None)
-    def unit_sphere(self) -> tuple[FieldVector, ...]:
-        out = []
-        for blk in self.params.partition:
-            positions = [p - 1 for p in blk]
-            for values in itertools.product(range(self.field.q), repeat=len(positions)):
-                if all(v == 0 for v in values):
-                    continue
-                coords = [0] * self.n
-                for pos, val in zip(positions, values):
-                    coords[pos] = val
-                out.append(FieldVector(self.field, tuple(coords)))
-        return tuple(out)
 
 
 class CyclicBurstSpace(_FieldMetricSpace):
@@ -404,23 +389,10 @@ class CyclicBurstSpace(_FieldMetricSpace):
     def __init__(self, params: CyclicBurstParams):
         super().__init__(params.field, params.n)
         self.params = params
+        self._unit_sphere = _window_vectors(self.field, self.n, params.windows)
 
     def weight(self, v: FieldVector) -> int:
         return cyclic_burst_weight(v, self.params)
-
-    @lru_cache(maxsize=None)
-    def unit_sphere(self) -> tuple[FieldVector, ...]:
-        seen = {}
-        for win in self.params.windows:
-            positions = [p - 1 for p in sorted(win)]
-            for values in itertools.product(range(self.field.q), repeat=len(positions)):
-                if all(v == 0 for v in values):
-                    continue
-                coords = [0] * self.n
-                for pos, val in zip(positions, values):
-                    coords[pos] = val
-                seen[tuple(coords)] = FieldVector(self.field, tuple(coords))
-        return tuple(seen.values())
 
 
 class VarshamovSpace(MetricSpace):

@@ -34,7 +34,6 @@ class Spectrum:
     distinct: tuple
     mults: tuple[int, ...]
     exact: bool
-    tol: float = 0.0
 
     def __post_init__(self):
         if len(self.distinct) != len(self.mults):
@@ -74,7 +73,7 @@ def eigs_symmetric(a: np.ndarray) -> list[float]:
 def group_multiplicities(eigs: Sequence[float], tol: float = EIGENSOLVER_GROUP_TOL) -> Spectrum:
     """Merge consecutive values within tol*max(1, |theta|); mean representative."""
     if not eigs:
-        return Spectrum((), (), exact=False, tol=tol)
+        return Spectrum((), (), exact=False)
     groups: list[list[float]] = [[float(eigs[0])]]
     for v in eigs[1:]:
         v = float(v)
@@ -86,7 +85,7 @@ def group_multiplicities(eigs: Sequence[float], tol: float = EIGENSOLVER_GROUP_T
             groups.append([v])
     distinct = tuple(sum(gr) / len(gr) for gr in groups)
     mults = tuple(len(gr) for gr in groups)
-    return Spectrum(distinct, mults, exact=False, tol=tol)
+    return Spectrum(distinct, mults, exact=False)
 
 
 def spectrum_of_graph(g, tol: float = EIGENSOLVER_GROUP_TOL) -> Spectrum:

@@ -162,48 +162,57 @@ def _k1_inertia_value(spectrum: Spectrum) -> tuple[int, dict]:
 MILP_COEFF_BOX = 1e4  # |c_i| <= box on the Chebyshev coefficients of p
 
 
+def _split(coeffs, rel, rhs) -> tuple:
+    """A row over free coefficients a, rewritten over a = x+ - x- >= 0 with
+    the columns ordered [x+ | x-]."""
+    return (tuple(coeffs) + tuple(-c for c in coeffs), rel, rhs)
+
+
 class _PatternOracle:
     """Exact-rational feasibility of one class's program under zero-patterns.
 
-    Calling the oracle on b solves the feasibility LP of the base rows plus
-    p(theta_j) <= -1 for every b_j = 0: the best-first search's test.
-    Infeasible patterns donate their Farkas row support as a core, and a
-    later pattern whose zero-set contains a known core is rejected without
-    an LP call.  `min_norm_witness` decides one pattern and yields its
-    witness in a single solve; the float MILP route confirms with it.
+    The program of pattern b is the base rows plus p(theta_j) <= -1 for
+    every b_j = 0, each row split over a = x+ - x- (see `_split`).  Calling
+    the oracle on b decides that program's feasibility: the best-first
+    search's test.  Infeasible patterns donate their Farkas row support as
+    a core, and a later pattern whose zero-set contains a known core is
+    rejected without an LP call.  `min_norm_witness` minimizes sum(x+ + x-)
+    over the same program, deciding the pattern and yielding its witness
+    in a single solve; the float MILP route confirms with it.
     """
 
     def __init__(self, base_rows: list, eig_table: list[list[Fraction]]):
         self.base_rows = base_rows
-        self.eig_table = eig_table
         self.n_vars = len(eig_table[0])
         self.cores: list[int] = []
         self.last_solution = None
+        self._split_base = tuple(_split(*row) for row in base_rows)
+        self._split_eig = [_split(t, LE, Fraction(-1)) for t in eig_table]
+
+    def _program(self, zeros: list[int]) -> tuple:
+        return self._split_base + tuple(self._split_eig[j] for j in zeros)
+
+    def _coefficients(self, solution: tuple) -> tuple:
+        nv = self.n_vars
+        return tuple(solution[i] - solution[nv + i] for i in range(nv))
 
     def __call__(self, b: tuple) -> bool:
-        zero_mask = 0
-        for j, bit in enumerate(b):
-            if not bit:
-                zero_mask |= 1 << j
+        zeros = [j for j, bit in enumerate(b) if not bit]
+        zero_mask = sum(1 << j for j in zeros)
         for core in self.cores:
             if core & zero_mask == core:
                 return False
-        rows = list(self.base_rows)
-        eig_row_of: dict[int, int] = {}
-        for j, bit in enumerate(b):
-            if not bit:
-                eig_row_of[len(rows)] = j
-                rows.append((tuple(self.eig_table[j]), LE, Fraction(-1)))
-        result = solve_feasibility(rows, self.n_vars)
+        result = solve_feasibility(self._program(zeros), 2 * self.n_vars)
         if result.status == INFEASIBLE:
+            n_base = len(self._split_base)
             core = 0
-            for idx in result.farkas_rows or ():
-                if idx in eig_row_of:
-                    core |= 1 << eig_row_of[idx]
+            for idx in result.farkas_rows:
+                if idx >= n_base:
+                    core |= 1 << zeros[idx - n_base]
             if core:
                 self.cores.append(core)
             return False
-        self.last_solution = result.solution
+        self.last_solution = self._coefficients(result.solution)
         return True
 
     def min_norm_witness(self, b: tuple):
@@ -214,21 +223,12 @@ class _PatternOracle:
         coefficients that defeat the floating re-check; the minimum-norm
         solution is the natural robust witness.
         """
-        nv = self.n_vars
-        rows = []
-        for coeffs, rel, rhs in self.base_rows:
-            rows.append((tuple(coeffs) + tuple(-c for c in coeffs), rel, rhs))
-        for j, bit in enumerate(b):
-            if not bit:
-                t = tuple(self.eig_table[j])
-                rows.append((t + tuple(-c for c in t), LE, Fraction(-1)))
-        objective = (Fraction(1),) * (2 * nv)
-        bounds = ((Fraction(0), None),) * (2 * nv)
-        result = solve_lp(LinearProgram(objective, tuple(rows), bounds))
+        zeros = [j for j, bit in enumerate(b) if not bit]
+        objective = (Fraction(1),) * (2 * self.n_vars)
+        result = solve_lp(LinearProgram(objective, self._program(zeros)))
         if result.status == INFEASIBLE:
             return None
-        sol = result.solution
-        return tuple(sol[i] - sol[nv + i] for i in range(nv))
+        return self._coefficients(result.solution)
 
 
 def _float_verify(spectrum: Spectrum, coeffs: Sequence[Fraction], b: tuple) -> None:
@@ -505,8 +505,7 @@ def minor_polynomial_lp(spectrum: Spectrum, k: int,
         vec = dd[(0, s)]
         constraints.append((tuple(vec[1:]), EQ, -vec[0]))
     objective = tuple(Fraction(m) for m in spectrum.mults[1:])
-    bounds = tuple((Fraction(0), None) for _ in range(r))
-    result = solve_lp(LinearProgram(objective, tuple(constraints), bounds))
+    result = solve_lp(LinearProgram(objective, tuple(constraints)))
     if result.status != OPTIMAL:
         raise InternalError(f"minor-polynomial LP is {result.status}; "
                             "the interpolating minor polynomial is always feasible")

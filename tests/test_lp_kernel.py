@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from eigenbounds.errors import NoFeasibleAssignment, TooLarge
+from eigenbounds.errors import DimensionMismatch, NoFeasibleAssignment, TooLarge
 from eigenbounds.lp_kernel import (
     EQ,
     GE,
@@ -41,9 +41,9 @@ def test_unbounded():
 
 
 def test_equality_and_bounds():
-    # min x + y st x + y = 1, x in [0, 1], y >= 0
-    lp = LinearProgram((F(1), F(1)), (((F(1), F(1)), EQ, F(1)),),
-                       ((F(0), F(1)), (F(0), None)))
+    # min x + y st x + y = 1, x <= 1, x, y >= 0
+    lp = LinearProgram((F(1), F(1)), (((F(1), F(1)), EQ, F(1)),
+                                      ((F(1), F(0)), LE, F(1))))
     r = solve_lp(lp)
     assert r.status == OPTIMAL and r.value == 1
 
@@ -58,6 +58,11 @@ def test_feasibility_wrapper():
 def test_guard():
     with pytest.raises(TooLarge):
         solve_lp(LinearProgram((F(0),) * 200, ()))
+
+
+def test_row_longer_than_objective_raises():
+    with pytest.raises(DimensionMismatch):
+        solve_lp(LinearProgram((F(1),), (((F(1), F(1)), LE, F(1)),)))
 
 
 def _bruteforce_lp(c, rows, ub):
@@ -115,13 +120,33 @@ def test_against_vertex_enumeration():
         rows = [(tuple(F(rng.randrange(-3, 4)) for _ in range(n)),
                  F(rng.randrange(-2, 7))) for _ in range(n_rows)]
         expected = _bruteforce_lp(c, rows, ub=5)
-        lp = LinearProgram(c, tuple((row, LE, rhs) for row, rhs in rows),
-                           ((F(0), F(5)),) * n)
+        box = [(tuple(F(i == j) for j in range(n)), F(5)) for i in range(n)]
+        lp = LinearProgram(c, tuple((row, LE, rhs) for row, rhs in rows + box))
         got = solve_lp(lp)
         if expected is None:
             assert got.status == INFEASIBLE, case
         else:
             assert got.status == OPTIMAL and got.value == expected, case
+
+
+def test_farkas_rows_are_infeasible_alone():
+    """On random infeasible systems over x >= 0, the rows `farkas_rows`
+    names are infeasible by themselves: core pruning relies on it."""
+    rng = random.Random(7)
+    infeasible = 0
+    for case in range(400):
+        n = rng.randrange(1, 4)
+        rows = [(tuple(F(rng.randrange(-3, 4)) for _ in range(n)),
+                 rng.choice((LE, EQ, GE)), F(rng.randrange(-4, 5)))
+                for _ in range(rng.randrange(1, 6))]
+        got = solve_feasibility(rows, n)
+        if got.status != INFEASIBLE:
+            continue
+        infeasible += 1
+        core = sorted(got.farkas_rows)
+        assert core and core[-1] < len(rows), case
+        assert solve_feasibility([rows[i] for i in core], n).status == INFEASIBLE, case
+    assert infeasible >= 50
 
 
 def test_minimize_over_binaries_basic():

@@ -1,13 +1,17 @@
 """The six metric spaces: distances, axioms, enumeration, cross-validation."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
 
 from eigenbounds.algebra import FieldVector, make_field, ones_vector, unit_vector
+from eigenbounds import graphs as gr
 from eigenbounds import metrics as mt
+from eigenbounds import tables
 from eigenbounds.errors import AmbientTooLarge, DimensionMismatch, InvalidElement
 from eigenbounds.metrics import (
     BlockParams,
@@ -281,3 +285,23 @@ def test_neighbors_are_exactly_the_unit_sphere(space):
         direct = sorted(i for i, y in enumerate(els)
                         if y != x and space.distance(x, y) == 1)
         assert from_neighbors == direct
+
+
+@pytest.mark.parametrize("metric, params", [
+    ("projective", {"q": 2, "subspaces": "1,0;0,1;1,1"}),
+    ("phase-rotation", {"q": 3, "n": 2}),
+    ("block", {"q": 2, "partition": "1,2|3"}),
+    ("cyclic-burst", {"q": 2, "n": 4, "b": 2}),
+])
+def test_field_metric_space_is_collectable(metric, params):
+    """Nothing module-level (such as a cache on `unit_sphere`) keeps a space
+    alive once its graph, spectrum and automorphisms are dropped."""
+    space = tables.make_space(metric, **params)
+    graph = gr.build_distance_graph(space)
+    spectrum = tables.spectrum_for(space, graph)
+    gens = tables.automorphism_generators(space)
+    assert graph.n_vertices and spectrum.n == graph.n_vertices and gens
+    ref = weakref.ref(space)
+    del space, graph, spectrum, gens
+    gc.collect()
+    assert ref() is None

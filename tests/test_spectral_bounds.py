@@ -152,6 +152,43 @@ def test_float_milp_route_equals_exact_best_first(metric, params, k, monkeypatch
     assert rep.raw_value == sb.inertia_milp(g, spec, k, use_k1_shortcut=False).raw_value
 
 
+def _row_holds(coeffs, rel, rhs, a):
+    lhs = sum(c * x for c, x in zip(coeffs, a))
+    return {"==": lhs == rhs, "<=": lhs <= rhs, ">=": lhs >= rhs}[rel]
+
+
+@pytest.mark.parametrize("make_programs", [
+    lambda: sb.inertia_milp_walkreg(phase_rotation_spectrum(3, 3), 2),
+    lambda: sb.inertia_milp(*float_instance("city-block", m=3, n=2), 2),
+], ids=["phase-rotation-3-3-walkreg", "city-block-3-2-per-class"])
+def test_pattern_oracle_agrees_with_min_norm_witness(make_programs, monkeypatch):
+    """On every pattern of every class program: the feasibility oracle (with
+    its core pruning) and the min-norm LP agree, and both solutions satisfy
+    every row of the pattern exactly."""
+    captured = []
+
+    def capture(spectrum, programs, eig_table, max_nodes):
+        captured.append((programs, eig_table))
+        return 0, {}
+
+    monkeypatch.setattr(sb, "_inertia_search", capture)
+    make_programs()
+    (programs, eig_table), = captured
+    feasible = 0
+    for _, base_rows in programs:
+        oracle = sb._PatternOracle(base_rows, eig_table)
+        for b in itertools.product((0, 1), repeat=len(eig_table)):
+            rows = list(base_rows) + [(eig_table[j], "<=", -1) for j, bit in enumerate(b)
+                                      if not bit]
+            witness = oracle.min_norm_witness(b)
+            assert oracle(b) == (witness is not None), b
+            if witness is not None:
+                feasible += 1
+                for a in (witness, oracle.last_solution):
+                    assert all(_row_holds(*row, a) for row in rows), b
+    assert 0 < feasible < len(programs) * 2 ** len(eig_table)
+
+
 def test_float_milp_rejected_proposal_falls_back_to_exact(monkeypatch):
     g, spec = float_instance("city-block", m=3, n=2)  # three diagonal classes
     calls = []
