@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-    bound <metric> [params] (--k N | --d N) [--bounds list] [--format f]
+    bound <metric> [params] (--k N | --d N) [--bounds list] [--format f] [--max-nodes N]
     spectrum <metric> [params] [--check]
     verify <table-id>
     export-graph <metric> [params] --out PATH
@@ -62,9 +62,11 @@ def cmd_bound(args, out=None) -> int:
     k = args.k if args.k is not None else args.d - 1
     if k < 1:
         raise EigenboundsError("k >= 1 (equivalently d >= 2) required")
+    if args.max_nodes < 0:
+        raise EigenboundsError("--max-nodes must be >= 0")
     space = tables.make_space(**vars(args))
     names = args.bounds.split(",") if args.bounds else tables.available_bounds(space)
-    row = tables.compute_row(space, k, names, time_budget=args.budget)
+    row = tables.compute_row(space, k, names, max_nodes=args.max_nodes)
     _render_row(row, names + ["alpha"], args.format, out)
     return 0
 
@@ -93,8 +95,7 @@ def cmd_spectrum(args, out=None) -> int:
 
 def cmd_verify(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    ok = tables.verify_table(args.table, time_budget=args.budget,
-                             report=lambda line: out.write(line + "\n"))
+    ok = tables.verify_table(args.table, report=lambda line: out.write(line + "\n"))
     out.write(("PASS" if ok else "FAIL") + f" table {args.table}\n")
     return 0 if ok else 1
 
@@ -122,8 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", help="comma list of bound names; the valid names depend "
                    "on the metric (default: all of the metric's bounds)")
     p.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
-    p.add_argument("--budget", type=float, default=60.0,
-                   help="exact-oracle time budget in seconds")
+    p.add_argument("--max-nodes", type=int, default=gr.MAX_NODES,
+                   help="exact-oracle budget in branch-and-bound nodes; if it runs out, "
+                   "alpha shows as '>=x (timeout)' (default: %(default)s)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("spectrum", help="print the adjacency spectrum")
@@ -133,9 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("verify", help="re-verify a bundled reference table")
+    p = sub.add_parser("verify", help="re-verify a bundled reference table (no budget "
+                       "option: every row's alpha search fits the default node budget)")
     p.add_argument("table", type=int, choices=(2, 3, 4, 5, 6))
-    p.add_argument("--budget", type=float, default=120.0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-graph", help="write the distance graph as an edge list")

@@ -50,7 +50,7 @@ class NoFeasibleAssignment(EigenboundsError):
 
 
 class BudgetExceeded(EigenboundsError):
-    """A search exceeded its node or time budget."""
+    """A search exceeded its node budget."""
 
 
 class DegreeTooHigh(EigenboundsError):

@@ -8,7 +8,6 @@ reproducible across runs.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional, Sequence
 
@@ -20,6 +19,7 @@ from .errors import AmbientTooLarge, BudgetExceeded, Disconnected, InternalError
 from .metrics import MetricSpace, enumerate_ambient
 
 MAX_DENSE_VERTICES = 2**14
+MAX_NODES = 4_000_000  # default alpha-oracle budget, in branch-and-bound nodes
 UNREACHABLE = 2**30  # sentinel exceeding any metric value
 
 
@@ -292,7 +292,7 @@ def _orbit_representatives(cand: int, gens: list[list[int]]) -> list[int]:
     return reps
 
 
-def max_independent_set(g: Graph, time_budget: float = 60.0,
+def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
                         initial: Iterable[Sequence[int]] = (),
                         automorphism_generators: Iterable[Sequence[int]] = (),
                         upper_bound: Optional[int] = None,
@@ -316,8 +316,8 @@ def max_independent_set(g: Graph, time_budget: float = 60.0,
     exact=True and certified=True as soon as the incumbent reaches it.  An
     incumbent above it means the bound is wrong, and raises InternalError.
 
-    If the time budget runs out the best set found so far is returned with
-    exact=False.
+    The search expands at most `max_nodes` nodes; if it needs more, the best
+    set found so far is returned with exact=False.
     """
     n = g.n_vertices
     if n == 0:
@@ -331,9 +331,9 @@ def max_independent_set(g: Graph, time_budget: float = 60.0,
 
     full = (1 << n) - 1
     best_mask = _greedy_independent(full, adj)
-    for other in (_greedy_independent(full, adj, reverse=True),):
-        if bin(other).count("1") > bin(best_mask).count("1"):
-            best_mask = other
+    other = _greedy_independent(full, adj, reverse=True)
+    if bin(other).count("1") > bin(best_mask).count("1"):
+        best_mask = other
     for hint in initial:
         hmask = 0
         for v in hint:
@@ -349,7 +349,6 @@ def max_independent_set(g: Graph, time_budget: float = 60.0,
 
     best = [bin(best_mask).count("1"), best_mask]
     stop = n + 1 if upper_bound is None else upper_bound
-    deadline = time.monotonic() + time_budget
     nodes = [0]
 
     def improve(size: int, chosen: int) -> None:
@@ -360,9 +359,9 @@ def max_independent_set(g: Graph, time_budget: float = 60.0,
 
     def expand(cand: int, size: int, chosen: int, depth: int,
                active_gens: list[list[int]]) -> None:
-        nodes[0] += 1
-        if nodes[0] % 256 == 0 and time.monotonic() > deadline:
+        if nodes[0] >= max_nodes:
             raise BudgetExceeded
+        nodes[0] += 1
         order = _greedy_clique_cover(cand, adj)
         if active_gens and depth < 2:
             if size + order[-1][1] <= best[0]:
@@ -416,7 +415,7 @@ def max_independent_set(g: Graph, time_budget: float = 60.0,
     return IndependentSetResult(best[0], tuple(cert), exact, nodes[0], certified)
 
 
-def k_independence_number(g: Graph, k: int, time_budget: float = 60.0,
+def k_independence_number(g: Graph, k: int, max_nodes: int = MAX_NODES,
                           initial: Iterable[Sequence[int]] = (),
                           automorphism_generators: Iterable[Sequence[int]] = (),
                           upper_bound: Optional[int] = None,
@@ -427,7 +426,7 @@ def k_independence_number(g: Graph, k: int, time_budget: float = 60.0,
     automorphisms of every power graph; the validation inside the solver
     re-checks them against G^k regardless.
     """
-    return max_independent_set(power_graph(g, k), time_budget, initial=initial,
+    return max_independent_set(power_graph(g, k), max_nodes, initial=initial,
                                automorphism_generators=automorphism_generators,
                                upper_bound=upper_bound)
 

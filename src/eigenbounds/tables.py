@@ -385,7 +385,7 @@ def inertia_bound(space: mt.MetricSpace, graph: Optional[gr.Graph], spectrum: Sp
 
 
 def compute_row(space: mt.MetricSpace, k: int, bounds: list[str],
-                time_budget: float = 60.0,
+                max_nodes: int = gr.MAX_NODES,
                 with_alpha: bool = True) -> RowResult:
     """Evaluate the requested bounds (plus alpha_k) for one instance.
 
@@ -441,7 +441,7 @@ def compute_row(space: mt.MetricSpace, k: int, bounds: list[str],
         def generators():  # built only if the hints fall short and the oracle searches
             yield from automorphism_generators(space)
         row.oracle = gr.k_independence_number(
-            need_graph(), k, time_budget, initial=alpha_hints(space, k, upper),
+            need_graph(), k, max_nodes, initial=alpha_hints(space, k, upper),
             automorphism_generators=generators(), upper_bound=upper)
         alpha = row.oracle.alpha
         values["alpha"] = str(alpha) if row.oracle.exact else f">={alpha} (timeout)"
@@ -483,15 +483,14 @@ def load_fixture(table_id: int) -> list[dict]:
     return list(csv.DictReader(text.splitlines()))
 
 
-def verify_table(table_id: int, time_budget: float = 120.0,
-                 report: Optional[Callable[[str], None]] = None) -> bool:
+def verify_table(table_id: int, report: Optional[Callable[[str], None]] = None) -> bool:
     """Recompute every checked cell of the table and diff against the fixture."""
     checked = TABLE_CHECKED[table_id]
     keys = TABLE_KEYS[table_id]
     all_ok = True
     for row in load_fixture(table_id):
         result = compute_row(make_space(TABLE_METRIC[table_id], **row), int(row["k"]),
-                             [c for c in checked if c != "alpha"], time_budget=time_budget)
+                             [c for c in checked if c != "alpha"])
         label = " ".join(f"{key}={row[key]}" for key in keys)
         diffs = []
         for col in checked:

@@ -198,14 +198,42 @@ def test_mis_bad_hint_is_ignored():
     assert res.alpha == 2
 
 
-def test_mis_time_budget_inexact():
+def test_mis_node_budget_inexact():
     rng = random.Random(3)
     n = 120
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.12]
     g = graph_from_edges(n, edges)
-    res = gr.max_independent_set(g, time_budget=0.0)
+    res = gr.max_independent_set(g, max_nodes=0)
     assert not res.exact
     assert res.alpha >= 1  # greedy incumbent survives
+
+
+def test_mis_node_budget_boundary():
+    """A budget of exactly the full search's node count N is enough; N - 1
+    is not, and the search then stops within it with an independent set."""
+    rng = random.Random(0)
+    n = 40
+    g = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < 0.12])
+    full = gr.max_independent_set(g)
+    assert full.exact and full.nodes > 1
+    at = gr.max_independent_set(g, full.nodes)
+    assert (at.alpha, at.nodes, at.exact) == (full.alpha, full.nodes, True)
+    short = gr.max_independent_set(g, full.nodes - 1)
+    assert not short.exact and short.nodes <= full.nodes - 1
+    assert len(short.certificate) == short.alpha
+    assert not g.adjacency[np.ix_(short.certificate, short.certificate)].any()
+
+
+def test_library_reads_no_clock(monkeypatch):
+    """The oracle's budget counts nodes, so a row never consults a clock,
+    even when the oracle has to search (singleton 9 > alpha 6)."""
+    def no_clock():
+        raise AssertionError("the library read the clock")
+    monkeypatch.setattr("time.monotonic", no_clock)
+    row = tables.compute_row(pr_space(3, 4), 2, ["singleton"])
+    assert (row.cell("singleton"), row.cell("alpha")) == ("9", "6")
+    assert row.oracle.nodes > 0
 
 
 def _first_fit_clique_cover(cand, adj):

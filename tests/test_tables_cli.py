@@ -159,11 +159,14 @@ def test_cli_rejects_both_k_and_d():
      "--partition '1,x' is not of the form"),
     (["bound", "projective", "--q", "2", "--subspaces", "1,0;0,a", "--k", "1"],
      "--subspaces '1,0;0,a' is not of the form"),
+    (["bound", "varshamov", "--n", "3", "--k", "1", "--max-nodes", "-1"],
+     "--max-nodes must be >= 0"),
 ], ids=["plotkin", "singleton", "bogus", "no-m", "no-partition", "no-subspaces",
-        "bad-partition", "bad-subspaces"])
+        "bad-partition", "bad-subspaces", "negative-max-nodes"])
 def test_cli_usage_error_exits_2(argv, message, capsys):
-    """A bound the metric lacks, a missing metric parameter or malformed
-    parameter text is reported, not raised as a traceback."""
+    """A bound the metric lacks, a missing metric parameter, malformed
+    parameter text or a negative node budget is reported, not raised as a
+    traceback."""
     code, text = run_cli(argv)
     assert code == 2 and text == ""
     assert message in capsys.readouterr().err
@@ -219,6 +222,24 @@ def test_cli_verify_table4():
     code, text = run_cli(["verify", "4"])
     assert code == 0
     assert text.count("ok") == 5 and "PASS table 4" in text
+
+
+def test_cli_verify_takes_no_budget(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "4", "--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
+def test_cli_max_nodes_timeout_is_deterministic():
+    """The oracle's budget counts nodes, so an exhausted budget gives the
+    same row on any machine."""
+    argv = ["bound", "phase-rotation", "--q", "3", "--n", "5", "--k", "2",
+            "--bounds", "singleton", "--max-nodes", "1000", "--format", "csv"]
+    expected = ("metric,params,k,d,singleton,alpha\n"
+                "phase_rotation,n=5 q=3,2,3,27,>=11 (timeout)\n")
+    assert run_cli(argv) == (0, expected)
+    assert run_cli(argv) == (0, expected)
 
 
 def test_cli_export_graph(tmp_path):
