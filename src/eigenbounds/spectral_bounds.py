@@ -12,9 +12,14 @@ spectra enumerate patterns best-first by weight, each checked by an
 exact-rational feasibility LP (Farkas cores prune later patterns); the
 first feasible one is optimal.  Float spectra solve the big-M form as one
 HiGHS MILP per class (see `_propose_pattern`) and confirm the lightest
-proposal with one exact-rational LP, falling back to the best-first
-search for a class whose proposal fails; a reported value always comes
-from an exactly confirmed pattern.
+proposal with one exact-rational min-norm LP, falling back to the
+best-first search for a class whose proposal fails; a reported value
+always comes from an exactly confirmed pattern.  That LP is solved by
+HiGHS and certified from its vertex in exact arithmetic (primal and dual
+feasibility, equal objectives; `lp_kernel.certify_float_optimum`), or,
+when the certificate fails, by the exact simplex; the witness names the
+route in "confirmed_by".  The best-first search's feasibility LPs and
+the ratio LP always use the exact simplex.
 
 Floating spectra (city block, Varshamov) enter the LPs through eigenvalue
 powers rationalized at denominator 2^40 (error < 1e-12); the winning
@@ -44,7 +49,17 @@ from .errors import (
     TooFewEigenvalues,
 )
 from .graphs import Graph, _diag_powers
-from .lp_kernel import EQ, GE, INFEASIBLE, LE, OPTIMAL, LinearProgram, solve_feasibility, solve_lp
+from .lp_kernel import (
+    EQ,
+    GE,
+    INFEASIBLE,
+    LE,
+    OPTIMAL,
+    LinearProgram,
+    certify_float_optimum,
+    solve_feasibility,
+    solve_lp,
+)
 from .spectra import Spectrum
 
 RATIONALIZE_DENOM = 1 << 40  # fixed power-of-two denominator, error < 1e-12
@@ -178,7 +193,8 @@ class _PatternOracle:
     a core, and a later pattern whose zero-set contains a known core is
     rejected without an LP call.  `min_norm_witness` minimizes sum(x+ + x-)
     over the same program, deciding the pattern and yielding its witness
-    in a single solve; the float MILP route confirms with it.
+    in a single exactly certified solve; the float MILP route confirms
+    with it.
     """
 
     def __init__(self, base_rows: list, eig_table: list[list[Fraction]]):
@@ -215,20 +231,25 @@ class _PatternOracle:
         self.last_solution = self._coefficients(result.solution)
         return True
 
-    def min_norm_witness(self, b: tuple):
-        """Coefficients of p minimizing sum |a_i| under pattern b, or None
-        when the pattern is infeasible.
+    def min_norm_witness(self, b: tuple) -> Optional[tuple[tuple, str]]:
+        """(coefficients of p minimizing sum |a_i| under pattern b, the route
+        that proved it optimal), or None when the pattern is infeasible.
 
         Simplex vertices of the bare feasibility LP can carry huge
         coefficients that defeat the floating re-check; the minimum-norm
-        solution is the natural robust witness.
+        solution is the natural robust witness.  A HiGHS vertex certified
+        in exact arithmetic is tried first ("float_basis"); the exact
+        simplex ("simplex") settles every program it cannot certify,
+        infeasible ones included.
         """
         zeros = [j for j, bit in enumerate(b) if not bit]
-        objective = (Fraction(1),) * (2 * self.n_vars)
-        result = solve_lp(LinearProgram(objective, self._program(zeros)))
+        lp = LinearProgram((Fraction(1),) * (2 * self.n_vars), self._program(zeros))
+        result, confirmed_by = certify_float_optimum(lp), "float_basis"
+        if result is None:
+            result, confirmed_by = solve_lp(lp), "simplex"
         if result.status == INFEASIBLE:
             return None
-        return self._coefficients(result.solution)
+        return self._coefficients(result.solution), confirmed_by
 
 
 def _float_verify(spectrum: Spectrum, coeffs: Sequence[Fraction], b: tuple) -> None:
@@ -339,10 +360,12 @@ def _inertia_search(spectrum: Spectrum, programs: list, eig_table: list,
                 best = (*found, idx)
         weight, b, idx = best
         label, oracle = oracles[idx]
-        coeffs = oracle.min_norm_witness(b)
-        if coeffs is not None:
+        found = oracle.min_norm_witness(b)
+        if found is not None:
+            coeffs, confirmed_by = found
             _float_verify(spectrum, coeffs, b)
-            return weight, {"pattern": b, "polynomial": coeffs, "vertex_class": label}
+            return weight, {"pattern": b, "polynomial": coeffs, "vertex_class": label,
+                            "confirmed_by": confirmed_by}
         value, witness = _best_first_milp(spectrum, [oracles[idx]], max_nodes)
         settled[idx] = (value, witness["pattern"])
 

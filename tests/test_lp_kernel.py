@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from eigenbounds.lp_kernel import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    certify_float_optimum,
     minimize_over_binaries,
     solve_feasibility,
     solve_lp,
@@ -147,6 +149,78 @@ def test_farkas_rows_are_infeasible_alone():
         assert core and core[-1] < len(rows), case
         assert solve_feasibility([rows[i] for i in core], n).status == INFEASIBLE, case
     assert infeasible >= 50
+
+
+def _rationalized(x: float) -> Fraction:
+    return F(round(x * 2**40), 2**40)
+
+
+def _random_program(rng, kind):
+    """A random standard-form LP with LE, EQ and GE rows.  "integer" has small
+    integer data (often degenerate); "rationalized" has floats rounded to
+    denominator 2^40; "min-norm" mimics the inertia witness programs: free
+    coefficients split over [x+ | x-], sum(x+ + x-) minimized, one EQ row,
+    rationalized eigenvalue powers p(theta) <= -1 and a few GE rows."""
+    if kind == "integer":
+        n = rng.randrange(2, 7)
+        rows = tuple((tuple(F(rng.randrange(-3, 4)) for _ in range(n)),
+                      rng.choice((LE, EQ, GE)), F(rng.randrange(-4, 5)))
+                     for _ in range(rng.randrange(1, 6)))
+        return LinearProgram(tuple(F(rng.randrange(-1, 4)) for _ in range(n)), rows)
+    if kind == "rationalized":
+        n = rng.randrange(2, 7)
+        rows = tuple((tuple(_rationalized(rng.uniform(-3, 3)) for _ in range(n)),
+                      rng.choice((LE, EQ, GE)), _rationalized(rng.uniform(-3, 3)))
+                     for _ in range(rng.randrange(1, 6)))
+        return LinearProgram(tuple(_rationalized(rng.uniform(-0.5, 3)) for _ in range(n)), rows)
+    deg = rng.randrange(1, 5)
+
+    def split(coeffs, rel, rhs):
+        return tuple(coeffs) + tuple(-c for c in coeffs), rel, rhs
+
+    rows = [split([F(0)] + [_rationalized(rng.uniform(-2, 2)) for _ in range(deg)], EQ, F(0))]
+    rows += [split([_rationalized(rng.uniform(-2, 2)) for _ in range(deg + 1)], GE, F(0))
+             for _ in range(rng.randrange(0, 3))]
+    for _ in range(rng.randrange(1, 7)):
+        theta = rng.uniform(-4, 4)
+        rows.append(split([_rationalized(theta ** i) for i in range(deg + 1)], LE, F(-1)))
+    return LinearProgram((F(1),) * (2 * deg + 2), tuple(rows))
+
+
+@pytest.mark.parametrize("kind", ["integer", "rationalized", "min-norm"])
+def test_certified_float_optimum_equals_simplex(kind):
+    """Whenever the float route returns a result, it is optimal, its solution
+    satisfies every row exactly and its value equals the exact simplex's;
+    on infeasible and unbounded programs it returns None."""
+    rng = random.Random(23)
+    tally = Counter()
+    for case in range(200):
+        lp = _random_program(rng, kind)
+        exact = solve_lp(lp)
+        got = certify_float_optimum(lp)
+        tally[exact.status, got is not None] += 1
+        if got is None:
+            continue
+        assert exact.status == OPTIMAL and got.status == OPTIMAL, case
+        assert got.value == exact.value, case
+        x = got.solution
+        assert len(x) == len(lp.objective) and all(v >= 0 for v in x), case
+        assert got.value == sum(c * v for c, v in zip(lp.objective, x)), case
+        for coeffs, rel, rhs in lp.constraints:
+            lhs = sum(a * v for a, v in zip(coeffs, x))
+            assert {LE: lhs <= rhs, EQ: lhs == rhs, GE: lhs >= rhs}[rel], case
+    assert tally[INFEASIBLE, True] == tally[UNBOUNDED, True] == 0
+    assert tally[INFEASIBLE, False] >= 20
+    assert tally[OPTIMAL, True] >= 75
+    assert tally[OPTIMAL, True] >= 9 * tally[OPTIMAL, False]
+    if kind != "min-norm":  # an all-ones objective over x >= 0 is bounded
+        assert tally[UNBOUNDED, False] >= 10
+
+
+def test_certify_float_optimum_guard_and_empty_program():
+    with pytest.raises(TooLarge):
+        certify_float_optimum(LinearProgram((F(0),) * 200, ()))
+    assert certify_float_optimum(LinearProgram((), ())) is None
 
 
 def test_minimize_over_binaries_basic():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from eigenbounds.algebra import Polynomial, make_field
 from eigenbounds.errors import (
@@ -19,6 +20,7 @@ from eigenbounds import graphs as gr
 from eigenbounds import metrics as mt
 from eigenbounds import spectral_bounds as sb
 from eigenbounds import tables
+from eigenbounds.lp_kernel import LinearProgram, certify_float_optimum, solve_lp
 from eigenbounds.spectra import (
     Spectrum,
     city_block_spectrum,
@@ -180,11 +182,11 @@ def test_pattern_oracle_agrees_with_min_norm_witness(make_programs, monkeypatch)
         for b in itertools.product((0, 1), repeat=len(eig_table)):
             rows = list(base_rows) + [(eig_table[j], "<=", -1) for j, bit in enumerate(b)
                                       if not bit]
-            witness = oracle.min_norm_witness(b)
-            assert oracle(b) == (witness is not None), b
-            if witness is not None:
+            found = oracle.min_norm_witness(b)
+            assert oracle(b) == (found is not None), b
+            if found is not None:
                 feasible += 1
-                for a in (witness, oracle.last_solution):
+                for a in (found[0], oracle.last_solution):
                     assert all(_row_holds(*row, a) for row in rows), b
     assert 0 < feasible < len(programs) * 2 ** len(eig_table)
 
@@ -204,6 +206,116 @@ def test_float_milp_rejected_proposal_falls_back_to_exact(monkeypatch):
     assert_witness_certifies(g, spec, 2, rep)
     monkeypatch.setattr(sb, "_inertia_search", exact_search)
     assert rep.raw_value == sb.inertia_milp(g, spec, 2).raw_value == 3
+
+
+def _counting_solve_lp(monkeypatch) -> list:
+    """Route the module's exact-simplex calls through a recorder."""
+    calls = []
+
+    def counted(lp):
+        calls.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(sb, "solve_lp", counted)
+    return calls
+
+
+def _winning_min_norm_program(monkeypatch):
+    """(oracle, pattern, min-norm LP) of city block (3,2), k=2's winning class."""
+    captured = []
+    search = sb._inertia_search
+
+    def capture(spectrum, programs, eig_table, max_nodes):
+        captured.append((dict(programs), eig_table))
+        return search(spectrum, programs, eig_table, max_nodes)
+
+    monkeypatch.setattr(sb, "_inertia_search", capture)
+    rep = sb.inertia_milp(*float_instance("city-block", m=3, n=2), 2)
+    (programs, eig_table), = captured
+    oracle = sb._PatternOracle(programs[rep.witness["vertex_class"]], eig_table)
+    b = rep.witness["pattern"]
+    zeros = [j for j, bit in enumerate(b) if not bit]
+    lp = LinearProgram((Fraction(1),) * (2 * oracle.n_vars), oracle._program(zeros))
+    return oracle, b, lp
+
+
+def _scaled_vertex(linprog):
+    """HiGHS's answer with x doubled: still feasible (the rows are
+    homogeneous or read <= -1), no longer optimal and no longer a vertex."""
+    def wrong(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.x = 2 * res.x
+        return res
+
+    return wrong
+
+
+def _failed_solve(linprog):
+    def failed(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(status=4, success=False, x=None,
+                                             message="numerical difficulties")
+
+    return failed
+
+
+@pytest.mark.parametrize("proposal", [_scaled_vertex, _failed_solve],
+                         ids=["non-optimal-x", "failure-status"])
+def test_wrong_float_point_runs_the_exact_fallback(proposal, monkeypatch):
+    """A wrong HiGHS answer is never certified: min_norm_witness falls back
+    to the exact simplex and returns the simplex's coefficients."""
+    oracle, b, lp = _winning_min_norm_program(monkeypatch)
+    expected = oracle._coefficients(solve_lp(lp).solution)
+    calls = _counting_solve_lp(monkeypatch)
+    assert oracle.min_norm_witness(b) == (expected, "float_basis")
+    assert calls == []
+    monkeypatch.setattr(scipy.optimize, "linprog", proposal(scipy.optimize.linprog))
+    assert certify_float_optimum(lp) is None
+    assert oracle.min_norm_witness(b) == (expected, "simplex")
+    assert calls == [lp]
+
+
+def test_wrong_float_basis_fails_the_reduced_cost_check(monkeypatch):
+    """min x1 + 2 x2 s.t. x1 + x2 >= 1: the basis {x2}, with its exact dual
+    y = 2, is primal feasible but x1's reduced cost is 1 - 2 < 0."""
+    lp = LinearProgram((Fraction(1), Fraction(2)), (((1, 1), ">=", 1),))
+    assert certify_float_optimum(lp).solution == (1, 0)
+
+    def wrong_basis(c, **kwargs):
+        # linprog sees the GE row negated, so its marginal is -y
+        return scipy.optimize.OptimizeResult(
+            status=0, x=np.array([0.0, 1.0]),
+            ineqlin=scipy.optimize.OptimizeResult(marginals=np.array([-2.0])),
+            eqlin=scipy.optimize.OptimizeResult(marginals=np.array([])))
+
+    monkeypatch.setattr(scipy.optimize, "linprog", wrong_basis)
+    assert certify_float_optimum(lp) is None
+
+
+MIN_NORM_FALLBACKS = 0  # exact-simplex min-norm solves on tables 2 and 6, of 22
+
+
+def test_min_norm_fallbacks_are_pinned(monkeypatch):
+    """Tables 2 and 6 confirm each row's pattern with one min-norm LP; count
+    the ones the float route could not certify.  The count is deterministic,
+    so a change that quietly sends these LPs back to the exact simplex
+    fails here rather than only in wall time."""
+    calls = _counting_solve_lp(monkeypatch)
+    witnesses = []
+    min_norm_witness = sb._PatternOracle.min_norm_witness
+
+    def recorded(self, b):
+        witnesses.append(min_norm_witness(self, b))
+        return witnesses[-1]
+
+    monkeypatch.setattr(sb._PatternOracle, "min_norm_witness", recorded)
+    for table_id in (2, 6):
+        for row in tables.load_fixture(table_id):
+            space = tables.make_space(tables.TABLE_METRIC[table_id], **row)
+            result = tables.compute_row(space, int(row["k"]), ["inertia"], with_alpha=False)
+            assert result.cell("inertia") == row["inertia"]
+    assert len(witnesses) == 22
+    assert len(calls) <= MIN_NORM_FALLBACKS
+    assert sum(w[1] == "simplex" for w in witnesses) == len(calls)
 
 
 def test_float_milp_node_budget_raises():

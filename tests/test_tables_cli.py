@@ -256,16 +256,21 @@ def test_cli_determinism():
     assert run_cli(argv) == run_cli(argv)
 
 
-def test_cli_json_stdout_holds_only_the_row():
-    """HiGHS's MIP solver writes to file descriptor 1 on this instance; none
+@pytest.mark.parametrize("argv,inertia", [
+    (["city-block", "--m", "5", "--n", "2", "--k", "4"], "4"),
+    (["varshamov", "--n", "6", "--k", "3"], "3"),
+], ids=["city-block", "varshamov"])
+def test_cli_json_stdout_holds_only_the_row(argv, inertia):
+    """HiGHS's MIP solver writes to file descriptor 1 on the city-block
+    instance, and both instances solve their min-norm LP with HiGHS; none
     of it may reach the JSON on stdout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, "-m", "eigenbounds.cli", "bound", "city-block", "--m", "5",
-         "--n", "2", "--k", "4", "--bounds", "inertia", "--format", "json"],
+        [sys.executable, "-m", "eigenbounds.cli", "bound", *argv,
+         "--bounds", "inertia", "--format", "json"],
         capture_output=True, text=True, env=env, timeout=300, check=True)
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["bounds"]["inertia"] == "4"
+    assert json.loads(lines[0])["bounds"]["inertia"] == inertia
