@@ -3,7 +3,11 @@
 The graph is dense (vertex count <= 2^14 guard): adjacency is a numpy uint8
 matrix plus per-vertex Python-int bitmasks for the branch-and-bound solver.
 Vertex order is the metric's canonical enumeration, so vertex numbering is
-reproducible across runs.
+reproducible across runs.  The space builds the adjacency itself by index
+arithmetic (`MetricSpace.adjacency`); the k-th power graph takes k - 1
+sparse matrix products.  All-pairs distances (scipy's unweighted shortest
+paths) are computed only where distances themselves are needed: the
+geodesic check and distance regularity.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import AmbientTooLarge, BudgetExceeded, Disconnected, InternalError
@@ -77,17 +81,7 @@ def build_distance_graph(space: MetricSpace) -> Graph:
     if space.ambient_size > MAX_DENSE_VERTICES:
         raise AmbientTooLarge(
             f"{space.ambient_size} vertices exceeds dense guard {MAX_DENSE_VERTICES}")
-    labels = enumerate_ambient(space)
-    index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    adj = np.zeros((n, n), dtype=np.uint8)
-    for i, x in enumerate(labels):
-        for y in space.neighbors(x):
-            j = index.get(y)
-            if j is not None and j != i:
-                adj[i, j] = 1
-                adj[j, i] = 1
-    return Graph(labels, adj)
+    return Graph(enumerate_ambient(space), space.adjacency())
 
 
 def all_pairs_graph_distance(g: Graph) -> np.ndarray:
@@ -115,13 +109,24 @@ def verify_geodesic_equals_metric(space: MetricSpace, g: Graph) -> bool:
     return True
 
 
-def power_graph(g: Graph, k: int, dist: Optional[np.ndarray] = None) -> Graph:
-    """Same vertices, edges between vertices at geodesic distance <= k."""
+def power_graph(g: Graph, k: int) -> Graph:
+    """Same vertices, edges between vertices at geodesic distance <= k.
+
+    Row x of reach_j = min(1, (A + I) reach_{j-1}) marks the vertices within
+    j steps of x, starting from reach_1 = A: k - 1 sparse-times-dense
+    products, O(k V^2 delta).  float32 holds every entry exactly (each is at
+    most delta + 1 before the clamp), and the diagonal is cleared at the end.
+    """
     if k < 1:
         raise ValueError("k >= 1 required")
-    if dist is None:
-        dist = all_pairs_graph_distance(g)
-    adj = ((dist > 0) & (dist <= k)).astype(np.uint8)
+    a = g.adjacency
+    step = csr_matrix(a, dtype=np.float32) + identity(len(a), dtype=np.float32, format="csr")
+    reach = a.astype(np.float32)
+    for _ in range(k - 1):
+        reach = step @ reach
+        np.minimum(reach, 1, out=reach)
+    adj = reach.astype(np.uint8)
+    np.fill_diagonal(adj, 0)
     return Graph(list(g.labels), adj)
 
 

@@ -3,9 +3,13 @@ block, cyclic b-burst, Varshamov.
 
 Every space exposes the same surface: `elements()` enumerates the ambient
 set in lexicographic order with the all-zeros element at index 0,
-`distance(x, y)` is the exact metric, and `neighbors(x)` generates the
-unit sphere around x (used to build distance graphs without the O(V^2)
-pairwise scan; the equivalence is property-tested).
+`distance(x, y)` is the exact metric, and `adjacency()` is the 0/1 matrix
+of the distance-1 graph in that order.  `adjacency()` works on vertex
+indices alone: the index of a vertex is the mixed-radix number of its
+coordinates (first coordinate most significant), so the unit sphere around
+every vertex is a few numpy operations on index arrays, not a loop over
+elements.  It equals the pairwise `distance(x, y) == 1` scan; the
+equivalence is tested exhaustively.
 
 City block elements are plain integer tuples, Varshamov elements are 0/1
 tuples, the field metrics use :class:`~eigenbounds.algebra.FieldVector`.
@@ -16,6 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .algebra import (
     FieldVector,
@@ -250,7 +256,8 @@ def varshamov_distance(x: Sequence[int], y: Sequence[int]) -> int:
 # ----------------------------------------------------------------------
 
 class MetricSpace:
-    """Common surface: name, params, ambient_size, elements, distance."""
+    """Common surface: name, params, ambient_size, elements, distance,
+    adjacency."""
 
     name: str
     ambient_size: int
@@ -261,9 +268,27 @@ class MetricSpace:
     def distance(self, x, y) -> int:
         raise NotImplementedError
 
-    def neighbors(self, x) -> Iterator:
-        """Exact unit sphere around x (the d(x, .) = 1 set)."""
+    def adjacency(self) -> np.ndarray:
+        """Symmetric 0/1 uint8 matrix with a 1 where d(x, y) = 1, rows and
+        columns in `elements()` order."""
         raise NotImplementedError
+
+
+def _mixed_radix(base: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(radix, digits): radix[i] = base^(n-1-i), and row v of digits holds the
+    coordinates of the v-th tuple of `itertools.product(range(base), repeat=n)`,
+    so that digits @ radix == arange(base^n)."""
+    radix = base ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    digits = (np.arange(base**n, dtype=np.intp)[:, None] // radix) % base
+    return radix, digits
+
+
+def _edges_to_adjacency(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Symmetric 0/1 uint8 matrix with the edges {rows[i], cols[i]}."""
+    adj = np.zeros((size, size), dtype=np.uint8)
+    adj[rows, cols] = 1
+    adj[cols, rows] = 1
+    return adj
 
 
 def _field_tuples(field: FiniteField, n: int) -> Iterator[FieldVector]:
@@ -319,9 +344,26 @@ class _FieldMetricSpace(MetricSpace):
         `__init__`, in the order orbit branching relies on."""
         return self._unit_sphere
 
-    def neighbors(self, x: FieldVector) -> Iterator[FieldVector]:
-        for s in self.unit_sphere():
-            yield x + s
+    def translations(self) -> np.ndarray:
+        """V x |S| index table: column j maps every vertex x to x + s_j,
+        s_j the j-th `unit_sphere()` vector."""
+        radix, digits = _mixed_radix(self.field.q, self.n)
+        add = np.array(self.field.add_table, dtype=np.intp)
+        sphere = np.array([s.coords for s in self.unit_sphere()], dtype=np.intp)
+        table = np.zeros((len(digits), len(sphere)), dtype=np.intp)
+        for i in range(self.n):  # one coordinate at a time keeps memory at V x |S|
+            table += add[digits[:, i, None], sphere[None, :, i]] * radix[i]
+        return table
+
+    def scaling(self, c: int) -> np.ndarray:
+        """Index array of the vertex permutation x -> c*x."""
+        radix, digits = _mixed_radix(self.field.q, self.n)
+        return np.array(self.field.mul_table[c], dtype=np.intp)[digits] @ radix
+
+    def adjacency(self) -> np.ndarray:
+        table = self.translations()
+        rows = np.broadcast_to(np.arange(len(table))[:, None], table.shape)
+        return _edges_to_adjacency(len(table), rows, table)
 
 
 class CityBlockSpace(MetricSpace):
@@ -338,12 +380,13 @@ class CityBlockSpace(MetricSpace):
     def distance(self, x, y) -> int:
         return city_block_distance(x, y, self.m)
 
-    def neighbors(self, x) -> Iterator[tuple[int, ...]]:
-        for i, v in enumerate(x):
-            if v > 0:
-                yield x[:i] + (v - 1,) + x[i + 1:]
-            if v < self.m - 1:
-                yield x[:i] + (v + 1,) + x[i + 1:]
+    def adjacency(self) -> np.ndarray:
+        """x ~ x + e_i wherever coordinate i is below m - 1."""
+        radix, digits = _mixed_radix(self.m, self.n)
+        idx = np.arange(len(digits))
+        rows = [idx[digits[:, i] < self.m - 1] for i in range(self.n)]
+        cols = [r + radix[i] for i, r in enumerate(rows)]
+        return _edges_to_adjacency(len(idx), np.concatenate(rows), np.concatenate(cols))
 
 
 class ProjectiveSpace(_FieldMetricSpace):
@@ -409,18 +452,19 @@ class VarshamovSpace(MetricSpace):
     def distance(self, x, y) -> int:
         return varshamov_distance(x, y)
 
-    def neighbors(self, x) -> Iterator[tuple[int, ...]]:
-        ones = [i for i, v in enumerate(x) if v == 1]
-        zeros = [i for i, v in enumerate(x) if v == 0]
-        for i in zeros:  # one 0 -> 1
-            yield x[:i] + (1,) + x[i + 1:]
-        for i in ones:  # one 1 -> 0
-            yield x[:i] + (0,) + x[i + 1:]
-        for i in ones:  # swap a 1 and a 0
-            for j in zeros:
-                y = list(x)
-                y[i], y[j] = 0, 1
-                yield tuple(y)
+    def adjacency(self) -> np.ndarray:
+        """x ~ x with one bit flipped, and x ~ x with a 1 and a 0 swapped
+        (bits a and b that differ, flipped together)."""
+        idx = np.arange(self.ambient_size)
+        rows, cols = [], []
+        for a in range(self.n):
+            rows.append(idx)
+            cols.append(idx ^ (1 << a))
+            for b in range(a):
+                differ = idx[((idx >> a) ^ (idx >> b)) & 1 == 1]
+                rows.append(differ)
+                cols.append(differ ^ (1 << a | 1 << b))
+        return _edges_to_adjacency(len(idx), np.concatenate(rows), np.concatenate(cols))
 
 
 def enumerate_ambient(space: MetricSpace) -> list:

@@ -298,31 +298,43 @@ def _quiet_milp(*args, **kwargs):
         os.close(devnull)
 
 
-def _propose_pattern(spectrum: Spectrum, oracle: _PatternOracle, max_nodes: int,
+def _chebyshev_basis(spectrum: Spectrum, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(to_monomial, values) of T_0..T_k on [theta_min, theta_max]: column i
+    of to_monomial holds T_i's monomial coefficients, and values[j, i] is
+    T_i(theta_j).  They depend on the spectrum and k alone, so one inertia
+    search computes them once for all its classes."""
+    theta = np.array([float(t) for t in spectrum.distinct])
+    cheb = [np.polynomial.Chebyshev.basis(i, domain=[theta.min(), theta.max()])
+            for i in range(k + 1)]
+    to_monomial = np.array([np.pad(t.convert(kind=np.polynomial.Polynomial).coef, (0, k - i))
+                            for i, t in enumerate(cheb)]).T
+    return to_monomial, np.array([t(theta) for t in cheb]).T
+
+
+def _propose_pattern(spectrum: Spectrum, oracle: _PatternOracle,
+                     basis: tuple[np.ndarray, np.ndarray], max_nodes: int,
                      below: Optional[int]) -> Optional[tuple[int, tuple]]:
     """(weight, pattern) of one class's lightest pattern by one HiGHS MILP,
     or None when no pattern weighs less than `below`.
 
     Variables: Chebyshev coefficients c of p on [theta_min, theta_max] with
-    |c_i| <= MILP_COEFF_BOX, then binaries b_j.  |T_i| <= 1 there, so the
-    big-M (k+1) * box + 2 never binds when b_j = 1; the box can only hide
+    |c_i| <= MILP_COEFF_BOX, then binaries b_j; `basis` is
+    `_chebyshev_basis(spectrum, k)`.  |T_i| <= 1 there, so the big-M
+    (k+1) * box + 2 never binds when b_j = 1; the box can only hide
     patterns, never admit one.  Raises BudgetExceeded if HiGHS stops unsolved.
     """
     from scipy.optimize import Bounds, LinearConstraint
 
-    k, theta = oracle.n_vars - 1, np.array([float(t) for t in spectrum.distinct])
-    cheb = [np.polynomial.Chebyshev.basis(i, domain=[theta.min(), theta.max()])
-            for i in range(k + 1)]
-    to_monomial = np.array([np.pad(t.convert(kind=np.polynomial.Polynomial).coef, (0, k - i))
-                            for i, t in enumerate(cheb)]).T
+    k = oracle.n_vars - 1
+    to_monomial, values = basis
     rows = np.array([[float(c) for c in coeffs] for coeffs, _, _ in oracle.base_rows]) @ to_monomial
     rows /= np.abs(rows).max(axis=1, keepdims=True)
-    r1 = len(theta)
+    r1 = len(values)
     weights = np.concatenate([np.zeros(k + 1), spectrum.mults])
     constraints = [
         LinearConstraint(np.hstack([rows, np.zeros((len(rows), r1))]), 0,
                          [0 if rel == EQ else np.inf for _, rel, _ in oracle.base_rows]),
-        LinearConstraint(np.hstack([np.array([t(theta) for t in cheb]).T,
+        LinearConstraint(np.hstack([values,
                                     -((k + 1) * MILP_COEFF_BOX + 2) * np.eye(r1)]), -np.inf, -1),
         LinearConstraint(weights, -np.inf, np.inf if below is None else below - 1)]
     res = _quiet_milp(weights, constraints=constraints, integrality=weights > 0,
@@ -350,12 +362,14 @@ def _inertia_search(spectrum: Spectrum, programs: list, eig_table: list,
     oracles = [(label, _PatternOracle(rows, eig_table)) for label, rows in programs]
     if spectrum.exact:
         return _best_first_milp(spectrum, oracles, max_nodes)
+    basis = _chebyshev_basis(spectrum, len(eig_table[0]) - 1)
     settled: dict[int, tuple[int, tuple]] = {}  # class index -> exact (weight, pattern)
     while True:
         best = None  # (weight, pattern, class index)
         for idx, (_, oracle) in enumerate(oracles):
             below = None if best is None else best[0]
-            found = settled.get(idx) or _propose_pattern(spectrum, oracle, max_nodes, below)
+            found = settled.get(idx) or _propose_pattern(spectrum, oracle, basis, max_nodes,
+                                                         below)
             if found is not None and (below is None or found[0] < below):
                 best = (*found, idx)
         weight, b, idx = best

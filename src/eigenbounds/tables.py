@@ -344,11 +344,12 @@ def automorphism_generators(space: mt.MetricSpace) -> list[list[int]]:
     index = {x: i for i, x in enumerate(labels)}
     kind = kind_of(space)
     maps = kind.coordinate_maps(space)
-    if kind.field_metric:
-        maps = ([lambda x, s=s: x + s for s in space.unit_sphere()]
-                + [lambda x, c=c: x.scale(c) for c in space.field.nonzero() if c != 1]
-                + [lambda x, fn=fn: FieldVector(x.field, fn(x.coords)) for fn in maps])
-    return [[index[fn(x)] for x in labels] for fn in maps]
+    gens = []
+    if kind.field_metric:  # index arithmetic (see `metrics`), no per-vertex field operations
+        gens = (space.translations().T.tolist()
+                + [space.scaling(c).tolist() for c in space.field.nonzero() if c != 1])
+        maps = [lambda x, fn=fn: FieldVector(x.field, fn(x.coords)) for fn in maps]
+    return gens + [[index[fn(x)] for x in labels] for fn in maps]
 
 
 # ----------------------------------------------------------------------

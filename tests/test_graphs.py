@@ -9,11 +9,14 @@ import pytest
 import math
 from fractions import Fraction
 
-from eigenbounds.algebra import make_field
+from eigenbounds.algebra import FieldVector, make_field
 from eigenbounds.errors import Disconnected, InternalError
 from eigenbounds import graphs as gr
 from eigenbounds import metrics as mt
 from eigenbounds import tables
+
+from test_acceptance import _random_instances
+from test_metrics import AXIOM_SPACES
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -87,6 +90,67 @@ def test_power_graph_properties():
         nxt = gr.power_graph(g, k).adjacency
         assert np.all(prev <= nxt)
         prev = nxt
+
+
+def _power_graphs_match_distances(g):
+    dist = gr.all_pairs_graph_distance(g)
+    diam = int(dist[dist < gr.UNREACHABLE].max(initial=1))
+    for k in range(1, diam + 2):
+        expected = ((dist > 0) & (dist <= k)).astype(np.uint8)
+        assert np.array_equal(gr.power_graph(g, k).adjacency, expected), k
+    return diam
+
+
+@pytest.mark.parametrize("space", AXIOM_SPACES, ids=lambda s: s.name)
+def test_power_graph_equals_distance_threshold(space):
+    """The k - 1 products reach exactly the pairs at distance 1..k, up to
+    one past the diameter."""
+    _power_graphs_match_distances(gr.build_distance_graph(space))
+
+
+def test_power_graph_equals_distance_threshold_on_random_draws():
+    for idx, (space, rng) in enumerate(_random_instances()):
+        if idx == 100:
+            break
+        diam = _power_graphs_match_distances(gr.build_distance_graph(space))
+        rng.randrange(1, min(3, max(1, diam)) + 1)  # draw k as criterion 9 does: same draws
+
+
+def test_graph_layer_does_no_field_vector_arithmetic(monkeypatch):
+    """Graph build, power graph and the translations and scalings among the
+    automorphisms work on vertex indices: they never add or scale a vector."""
+    space = tables.make_space("block", q=3, partition="1,2|3,4|5,6")
+
+    def forbidden(*args):
+        raise AssertionError("per-vertex FieldVector arithmetic")
+    monkeypatch.setattr(FieldVector, "__add__", forbidden)
+    monkeypatch.setattr(FieldVector, "scale", forbidden)
+    g = gr.build_distance_graph(space)
+    assert g.n_vertices == 729 and g.is_regular()
+    assert gr.power_graph(g, 3).adjacency.any()
+    gens = tables.automorphism_generators(space)
+    assert len(gens) == len(space.unit_sphere()) + 1 + len(tables._block_maps(space))
+
+
+ONE_SPACE_PER_METRIC = [
+    ("city-block", {"m": 4, "n": 3}),
+    ("projective", {"q": 3, "subspaces": "1,0,0;0,1,0;0,0,1;1,1,1;1,2,0"}),
+    ("phase-rotation", {"q": 4, "n": 3}),
+    ("block", {"q": 3, "partition": "1,2|3,4|5"}),
+    ("cyclic-burst", {"q": 2, "n": 6, "b": 3}),
+    ("varshamov", {"n": 6}),
+]
+
+
+@pytest.mark.parametrize("metric, params", ONE_SPACE_PER_METRIC,
+                         ids=[m for m, _ in ONE_SPACE_PER_METRIC])
+def test_automorphism_generators_are_automorphisms(metric, params):
+    space = tables.make_space(metric, **params)
+    g = gr.build_distance_graph(space)
+    gens = tables.automorphism_generators(space)
+    assert gens
+    for gen in gens:
+        assert gr._is_automorphism(g, gen)
 
 
 def test_walk_regularity():
@@ -348,7 +412,7 @@ def test_alpha_cross_check_bruteforce(metric, params):
     dist = gr.all_pairs_graph_distance(g)
     gens = tables.automorphism_generators(space)
     for k in range(1, int(dist.max()) + 1):
-        truth = _alpha_bruteforce(gr.power_graph(g, k, dist).adjacency_bitmasks())
+        truth = _alpha_bruteforce(gr.power_graph(g, k).adjacency_bitmasks())
         for bound in (None, truth, truth + 1):
             res = gr.k_independence_number(
                 g, k, initial=tables.alpha_hints(space, k, bound),

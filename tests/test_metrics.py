@@ -276,15 +276,15 @@ def test_metric_axioms_random_triples_large():
 
 @pytest.mark.parametrize("space", AXIOM_SPACES, ids=lambda s: s.name)
 def test_neighbors_are_exactly_the_unit_sphere(space):
+    """Every vertex's neighbours in the distance graph are exactly its unit
+    sphere: the index-arithmetic adjacency equals the pairwise d(x, y) == 1
+    scan over every vertex pair."""
     els = space.elements()
-    index = {e: i for i, e in enumerate(els)}
-    rng = random.Random(5)
-    for _ in range(12):
-        x = els[rng.randrange(len(els))]
-        from_neighbors = sorted(index[y] for y in space.neighbors(x) if y in index)
-        direct = sorted(i for i, y in enumerate(els)
-                        if y != x and space.distance(x, y) == 1)
-        assert from_neighbors == direct
+    direct = np.array([[int(space.distance(x, y) == 1) for y in els] for x in els],
+                      dtype=np.uint8)
+    g = gr.build_distance_graph(space)
+    assert g.adjacency.dtype == np.uint8
+    assert np.array_equal(g.adjacency, direct)
 
 
 @pytest.mark.parametrize("metric, params", [

@@ -195,7 +195,7 @@ def test_float_milp_rejected_proposal_falls_back_to_exact(monkeypatch):
     g, spec = float_instance("city-block", m=3, n=2)  # three diagonal classes
     calls = []
 
-    def infeasible_proposal(spectrum, oracle, max_nodes, below):
+    def infeasible_proposal(spectrum, oracle, basis, max_nodes, below):
         # p(theta) <= -1 at every eigenvalue contradicts a zero diagonal of p(A)
         calls.append(below)
         return 0, (0,) * len(spectrum.distinct)
