@@ -5,9 +5,10 @@ matrix plus per-vertex Python-int bitmasks for the branch-and-bound solver.
 Vertex order is the metric's canonical enumeration, so vertex numbering is
 reproducible across runs.  The space builds the adjacency itself by index
 arithmetic (`MetricSpace.adjacency`); the k-th power graph takes k - 1
-sparse matrix products.  All-pairs distances (scipy's unweighted shortest
-paths) are computed only where distances themselves are needed: the
-geodesic check and distance regularity.
+sparse matrix products, and the diagonals of A^1..A^k take k.  All-pairs
+distances (scipy's unweighted shortest paths) are computed only where
+distances themselves are needed: the geodesic check and distance
+regularity.
 """
 
 from __future__ import annotations
@@ -133,27 +134,17 @@ def power_graph(g: Graph, k: int) -> Graph:
 def _diag_powers(adjacency: np.ndarray, k: int) -> list[np.ndarray]:
     """Diagonals of A^0..A^k as exact int64 vectors.
 
-    Uses float64 BLAS when every intermediate is below 2^52 (entries of
-    A^i are at most degree^i, so the dot-product partial sums stay exact);
-    falls back to int64 matmuls otherwise.
+    A^i = A A^(i-1) by k sparse-times-dense int64 products, O(k V^2 delta),
+    the pattern `power_graph` uses.  Integer arithmetic throughout, so every
+    entry is exact while it stays below 2^63 (entries of A^i are at most
+    delta^i).
     """
-    n = adjacency.shape[0]
-    diags = [np.ones(n, dtype=np.int64)]
-    if n == 0 or k == 0:
-        return diags
-    deg_max = int(adjacency.sum(axis=1).max(initial=0))
-    if n * max(1, deg_max) ** k < 2**52:
-        a = adjacency.astype(np.float64)
-        power = np.eye(n, dtype=np.float64)
-        for _ in range(k):
-            power = power @ a
-            diags.append(np.diagonal(power).astype(np.int64).copy())
-    else:
-        a = adjacency.astype(np.int64)
-        power = np.eye(n, dtype=np.int64)
-        for _ in range(k):
-            power = power @ a
-            diags.append(np.diagonal(power).copy())
+    a = csr_matrix(adjacency, dtype=np.int64)
+    power = np.eye(adjacency.shape[0], dtype=np.int64)
+    diags = [np.diagonal(power).copy()]
+    for _ in range(k):
+        power = a @ power
+        diags.append(np.diagonal(power).copy())
     return diags
 
 

@@ -21,6 +21,17 @@ when the certificate fails, by the exact simplex; the witness names the
 route in "confirmed_by".  The best-first search's feasibility LPs and
 the ratio LP always use the exact simplex.
 
+The MILPs run with HiGHS's root primal heuristic Feasibility Jump off
+(`mip_heuristic_run_feasibility_jump=False`): on tables 2 and 6 it took
+about half of HiGHS's time, also on MILPs that close at the root node.  A
+primal heuristic only finds incumbents early; optimality comes from
+presolve and the branch-and-bound search, and every proposal is still
+confirmed exactly, so the setting cannot change an optimum value (where
+patterns tie, HiGHS may return another of equal weight).  scipy passes
+the option to HiGHS verbatim; a HiGHS build that does not know it warns
+("Unrecognized options detected") and skips it, so the MILPs then run as
+before, with the heuristic.
+
 Floating spectra (city block, Varshamov) enter the LPs through eigenvalue
 powers rationalized at denominator 2^40 (error < 1e-12); the winning
 polynomial is re-checked in floating point with slack 1e-6.
@@ -31,6 +42,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -283,15 +295,19 @@ def _best_first_milp(spectrum: Spectrum, oracles: Sequence, max_nodes: int) -> t
 
 def _quiet_milp(*args, **kwargs):
     """scipy.optimize.milp with file descriptor 1 on the null device: HiGHS's
-    MIP solver writes to it even with disp=False.  Process-wide, so not for
-    use from threads."""
+    MIP solver writes to it even with disp=False.  scipy warns about every
+    option it passes to HiGHS verbatim (a RuntimeWarning), and its HiGHS
+    wrapper about one HiGHS does not know (an OptimizeWarning); both are
+    silenced too.  Process-wide, so not for use from threads."""
     from scipy.optimize import milp
 
     sys.stdout.flush()
     saved, devnull = os.dup(1), os.open(os.devnull, os.O_WRONLY)
     try:
         os.dup2(devnull, 1)
-        return milp(*args, **kwargs)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Unrecognized options detected")
+            return milp(*args, **kwargs)
     finally:
         os.dup2(saved, 1)
         os.close(saved)
@@ -340,7 +356,8 @@ def _propose_pattern(spectrum: Spectrum, oracle: _PatternOracle,
     res = _quiet_milp(weights, constraints=constraints, integrality=weights > 0,
                       bounds=Bounds([-MILP_COEFF_BOX] * (k + 1) + [0] * r1,
                                     [MILP_COEFF_BOX] * (k + 1) + [1] * r1),
-                      options={"node_limit": max_nodes, "mip_rel_gap": 0})
+                      options={"node_limit": max_nodes, "mip_rel_gap": 0,
+                               "mip_heuristic_run_feasibility_jump": False})
     if res.status == 2:  # infeasible: nothing lighter than `below`
         return None
     if res.status != 0:

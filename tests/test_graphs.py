@@ -163,6 +163,33 @@ def test_walk_regularity():
     assert np.array_equal(diags[2], cb.degree_list)
 
 
+def _reference_diag_powers(adjacency, k):
+    """diag(A^0..A^k) from a Python-int matrix power: row u of A^(i+1) sums
+    the rows of A^i at u's neighbours (A is symmetric)."""
+    n = len(adjacency)
+    nbrs = [np.flatnonzero(row).tolist() for row in adjacency]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    diags = [[1] * n]
+    for _ in range(k):
+        power = [[sum(row[w] for w in nbrs[u]) for u in range(n)] for row in power]
+        diags.append([power[v][v] for v in range(n)])
+    return diags
+
+
+def complete_graph(n):
+    return gr.Graph(list(range(n)), np.ones((n, n), dtype=np.uint8) - np.eye(n, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("g,k", [(gr.build_distance_graph(s), 4) for s in AXIOM_SPACES]
+                         # 20 * 19^12 > 2^52: past where float64 products stay exact
+                         + [(complete_graph(20), 12)],
+                         ids=[s.name for s in AXIOM_SPACES] + ["K20-k12"])
+def test_diag_powers_equal_python_int_matrix_power(g, k):
+    diags = gr._diag_powers(g.adjacency, k)
+    assert all(d.dtype == np.int64 for d in diags)
+    assert [d.tolist() for d in diags] == _reference_diag_powers(g.adjacency, k)
+
+
 def test_cayley_built_graphs_walk_regular_up_to_6():
     spaces = [
         pr_space(2, 4), pr_space(4, 2),

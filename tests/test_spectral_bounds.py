@@ -1,6 +1,7 @@
 """Inertia-type and Ratio-type bounds, their MILP/LP optimizers, closed forms."""
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -291,15 +292,31 @@ def test_wrong_float_basis_fails_the_reduced_cost_check(monkeypatch):
     assert certify_float_optimum(lp) is None
 
 
+def _captured_milp_options(monkeypatch) -> list:
+    """Route the module's MILPs through a recorder of their options."""
+    captured = []
+    quiet_milp = sb._quiet_milp
+
+    def recorded(*args, options, **kwargs):
+        captured.append(dict(options))  # milp pops entries from the dict it is given
+        return quiet_milp(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(sb, "_quiet_milp", recorded)
+    return captured
+
+
 MIN_NORM_FALLBACKS = 0  # exact-simplex min-norm solves on tables 2 and 6, of 22
+TABLE_FLOAT_MILPS = 76  # HiGHS MILPs on tables 2 and 6: one per diagonal class and row
 
 
 def test_min_norm_fallbacks_are_pinned(monkeypatch):
     """Tables 2 and 6 confirm each row's pattern with one min-norm LP; count
-    the ones the float route could not certify.  The count is deterministic,
-    so a change that quietly sends these LPs back to the exact simplex
-    fails here rather than only in wall time."""
+    the ones the float route could not certify, and the HiGHS MILPs that
+    proposed the patterns.  The counts are deterministic, so a change that
+    quietly sends these LPs back to the exact simplex, or solves more
+    MILPs, fails here rather than only in wall time."""
     calls = _counting_solve_lp(monkeypatch)
+    milps = _captured_milp_options(monkeypatch)
     witnesses = []
     min_norm_witness = sb._PatternOracle.min_norm_witness
 
@@ -316,6 +333,27 @@ def test_min_norm_fallbacks_are_pinned(monkeypatch):
     assert len(witnesses) == 22
     assert len(calls) <= MIN_NORM_FALLBACKS
     assert sum(w[1] == "simplex" for w in witnesses) == len(calls)
+    assert len(milps) == TABLE_FLOAT_MILPS
+
+
+def test_milp_skips_feasibility_jump(monkeypatch):
+    options = _captured_milp_options(monkeypatch)
+    assert sb.inertia_milp(*float_instance("city-block", m=3, n=2), 2).floored == 3
+    assert options == [{"node_limit": 1 << 20, "mip_rel_gap": 0,
+                        "mip_heuristic_run_feasibility_jump": False}] * 3  # one per class
+
+
+def test_inertia_milp_warns_nothing():
+    """scipy warns about each option it passes to HiGHS verbatim, and
+    about one HiGHS does not know; `_quiet_milp` keeps both from callers."""
+    g, spec = float_instance("city-block", m=3, n=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sb.inertia_milp(g, spec, 2).floored == 3
+        # a name HiGHS does not know either: warned about, skipped, solved
+        res = sb._quiet_milp(np.ones(2), bounds=scipy.optimize.Bounds(0, 1),
+                             options={"no_such_highs_option": 1})
+        assert res.status == 0 and res.fun == 0
 
 
 def test_float_milp_node_budget_raises():

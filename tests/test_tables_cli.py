@@ -263,7 +263,8 @@ def test_cli_determinism():
 def test_cli_json_stdout_holds_only_the_row(argv, inertia):
     """HiGHS's MIP solver writes to file descriptor 1 on the city-block
     instance, and both instances solve their min-norm LP with HiGHS; none
-    of it may reach the JSON on stdout."""
+    of it may reach the JSON on stdout.  scipy's warning about the HiGHS
+    option it passes on verbatim must not reach stderr either."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -274,3 +275,5 @@ def test_cli_json_stdout_holds_only_the_row(argv, inertia):
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["bounds"]["inertia"] == inertia
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Unrecognized options" not in proc.stderr
