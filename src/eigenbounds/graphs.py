@@ -30,7 +30,9 @@ UNREACHABLE = 2**30  # sentinel exceeding any metric value
 
 @dataclass
 class Graph:
-    labels: list
+    """A dense simple graph.  In a distance graph, vertex i is the space's
+    i-th element in canonical order (`enumerate_ambient`)."""
+
     adjacency: np.ndarray  # symmetric 0/1 uint8, zero diagonal
 
     def __post_init__(self):
@@ -39,9 +41,6 @@ class Graph:
             raise ValueError("adjacency must be square with zero diagonal")
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency must be symmetric")
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self.index) != len(self.labels):
-            raise ValueError("labels must be unique")
 
     @property
     def n_vertices(self) -> int:
@@ -82,7 +81,7 @@ def build_distance_graph(space: MetricSpace) -> Graph:
     if space.ambient_size > MAX_DENSE_VERTICES:
         raise AmbientTooLarge(
             f"{space.ambient_size} vertices exceeds dense guard {MAX_DENSE_VERTICES}")
-    return Graph(enumerate_ambient(space), space.adjacency())
+    return Graph(space.adjacency())
 
 
 def all_pairs_graph_distance(g: Graph) -> np.ndarray:
@@ -100,7 +99,7 @@ def all_pairs_graph_distance(g: Graph) -> np.ndarray:
 def verify_geodesic_equals_metric(space: MetricSpace, g: Graph) -> bool:
     """Condition: geodesic distance in the graph equals the metric distance."""
     dists = all_pairs_graph_distance(g)
-    labels = g.labels
+    labels = enumerate_ambient(space)
     n = len(labels)
     for i in range(n):
         xi = labels[i]
@@ -128,7 +127,7 @@ def power_graph(g: Graph, k: int) -> Graph:
         np.minimum(reach, 1, out=reach)
     adj = reach.astype(np.uint8)
     np.fill_diagonal(adj, 0)
-    return Graph(list(g.labels), adj)
+    return Graph(adj)
 
 
 def _diag_powers(adjacency: np.ndarray, k: int) -> list[np.ndarray]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import index
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -351,46 +351,36 @@ def _subsets_of_weight(wts: list[int], target: int):
     yield from rec(0, target)
 
 
-def minimize_over_binaries(weights: Sequence, oracle: Callable[[tuple], bool],
-                           stop_weight=None, max_nodes: int = 1 << 20):
-    """First feasible binary vector in order of increasing sum(w_i b_i).
+def minimize_over_binaries(weights: Sequence[int], oracle: Callable[[tuple], bool],
+                           max_nodes: int = 1 << 20) -> tuple[int, tuple]:
+    """(weight, b) of the first feasible binary vector in order of
+    increasing sum(w_i b_i), over nonnegative integer weights.
 
     Ties are broken lexicographically (so the all-ones vector is tested
-    last).  Enumeration is lazy by target weight: rational weights are
-    scaled to integers, achievable subset sums are computed by bitset DP,
-    and only vectors of each achievable weight are generated.  `stop_weight`
-    aborts once every remaining vector weighs at least that much (returns
-    None); `max_nodes` caps oracle calls.
+    last).  Enumeration is lazy by target weight: achievable subset sums are
+    computed by bitset DP, and only vectors of each achievable weight are
+    generated.  `max_nodes` caps oracle calls.
     """
-    wts = [_fr(w) for w in weights]
+    wts = [index(w) for w in weights]
     if len(wts) > 64:
         raise TooLarge("more than 64 binary variables")
     if any(w < 0 for w in wts):
         raise TooLarge("weights must be nonnegative")
-    scale = lcm(*(w.denominator for w in wts)) if wts else 1
-    ints = [int(w * scale) for w in wts]
-    total = sum(ints)
+    total = sum(wts)
     if total > 10**7:
-        raise TooLarge("scaled weight range too large to enumerate by value")
+        raise TooLarge("weight range too large to enumerate by value")
 
     achievable = 1
-    for w in ints:
+    for w in wts:
         achievable |= achievable << w
-    stop_scaled = None if stop_weight is None else _fr(stop_weight) * scale
     tested = 0
-    target = 0
-    while target <= total:
+    for target in range(total + 1):
         if not (achievable >> target) & 1:
-            target += 1
             continue
-        if stop_scaled is not None and target >= stop_scaled:
-            return None
-        for b in _subsets_of_weight(ints, target):
+        for b in _subsets_of_weight(wts, target):
             tested += 1
             if tested > max_nodes:
                 raise BudgetExceeded(f"enumeration exceeded {max_nodes} oracle calls")
             if oracle(b):
-                value = sum(w for w, bit in zip(wts, b) if bit)
-                return value, b
-        target += 1
+                return target, b
     raise NoFeasibleAssignment("no binary assignment satisfied the oracle")

@@ -6,20 +6,21 @@ MILP conventions
 ----------------
 The optimal-polynomial search minimizes m.b over binary patterns b, where
 b_j = 0 forces p(theta_j) <= -1 and b_j = 1 leaves theta_j unconstrained,
-with one program per class of vertices sharing a diagonal of A^0..A^k.
-All other constraints are homogeneous in the coefficients of p.  Exact
-spectra enumerate patterns best-first by weight, each checked by an
+in one program per search.  All other constraints are homogeneous in the
+coefficients of p: for an irregular graph, diag(p(A))_u >= 0 for every
+class u of vertices sharing a diagonal of A^0..A^k (see `inertia_milp`).
+Exact spectra enumerate patterns best-first by weight, each checked by an
 exact-rational feasibility LP (Farkas cores prune later patterns); the
 first feasible one is optimal.  Float spectra solve the big-M form as one
-HiGHS MILP per class (see `_propose_pattern`) and confirm the lightest
-proposal with one exact-rational min-norm LP, falling back to the
-best-first search for a class whose proposal fails; a reported value
-always comes from an exactly confirmed pattern.  That LP is solved by
-HiGHS and certified from its vertex in exact arithmetic (primal and dual
-feasibility, equal objectives; `lp_kernel.certify_float_optimum`), or,
-when the certificate fails, by the exact simplex; the witness names the
-route in "confirmed_by".  The best-first search's feasibility LPs and
-the ratio LP always use the exact simplex.
+HiGHS MILP (see `_propose_pattern`) and confirm its proposal with one
+exact-rational min-norm LP, falling back to the best-first search when
+the proposal fails; a reported value always comes from an exactly
+confirmed pattern.  That LP is solved by HiGHS and certified from its
+vertex in exact arithmetic (primal and dual feasibility, equal
+objectives; `lp_kernel.certify_float_optimum`), or, when the certificate
+fails, by the exact simplex; the witness names the route in
+"confirmed_by".  The best-first search's feasibility LPs and the ratio LP
+always use the exact simplex.
 
 The MILPs run with HiGHS's root primal heuristic Feasibility Jump off
 (`mip_heuristic_run_feasibility_jump=False`): on tables 2 and 6 it took
@@ -43,7 +44,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -92,7 +93,6 @@ class BoundReport:
     raw_value: object  # Fraction or float
     k: int
     exact: bool
-    inputs: dict = dc_field(default_factory=dict)
     witness: Optional[dict] = None
     flags: tuple[str, ...] = ()
 
@@ -114,8 +114,7 @@ class BoundReport:
 # Inertia-type bound: theorem evaluator
 # ----------------------------------------------------------------------
 
-def inertia_type_bound(g: Graph, spectrum: Spectrum, p: Polynomial, k: int,
-                       inputs: Optional[dict] = None) -> BoundReport:
+def inertia_type_bound(g: Graph, spectrum: Spectrum, p: Polynomial, k: int) -> BoundReport:
     """alpha_k <= min(#{i: p(lam_i) >= w(p)}, #{i: p(lam_i) <= W(p)}).
 
     Counts run over the full eigenvalue multiset (sums of multiplicities
@@ -145,8 +144,7 @@ def inertia_type_bound(g: Graph, spectrum: Spectrum, p: Polynomial, k: int,
         count_le += mult if le else 0
     bound = min(count_ge, count_le)
     return BoundReport("inertia_type", Fraction(bound), k, exact=True,
-                       inputs=inputs or {}, witness={"polynomial": p.coeffs,
-                                                     "W": big_w, "w": w_p})
+                       witness={"polynomial": p.coeffs, "W": big_w, "w": w_p})
 
 
 # ----------------------------------------------------------------------
@@ -196,10 +194,11 @@ def _split(coeffs, rel, rhs) -> tuple:
 
 
 class _PatternOracle:
-    """Exact-rational feasibility of one class's program under zero-patterns.
+    """Exact-rational feasibility of the inertia program under zero-patterns.
 
-    The program of pattern b is the base rows plus p(theta_j) <= -1 for
-    every b_j = 0, each row split over a = x+ - x- (see `_split`).  Calling
+    The program of pattern b is the base rows (one diagonal row per vertex
+    class, or the walk-regular trace row) plus p(theta_j) <= -1 for every
+    b_j = 0, each row split over a = x+ - x- (see `_split`).  Calling
     the oracle on b decides that program's feasibility: the best-first
     search's test.  Infeasible patterns donate their Farkas row support as
     a core, and a later pattern whose zero-set contains a known core is
@@ -273,24 +272,13 @@ def _float_verify(spectrum: Spectrum, coeffs: Sequence[Fraction], b: tuple) -> N
                 f"rationalized MILP winner fails float re-check at theta={theta}")
 
 
-def _best_first_milp(spectrum: Spectrum, oracles: Sequence, max_nodes: int) -> tuple[int, dict]:
-    """Exact optimum over (label, oracle) classes by best-first pattern
-    search; `max_nodes` caps the patterns tried per class."""
+def _best_first_milp(spectrum: Spectrum, oracle: _PatternOracle,
+                     max_nodes: int) -> tuple[int, tuple]:
+    """(weight, pattern) of the exact optimum by best-first pattern search;
+    `max_nodes` caps the patterns tried."""
     from .lp_kernel import minimize_over_binaries
 
-    mults = list(spectrum.mults)
-    best_value: Optional[int] = None
-    best_witness: dict = {}
-    for label, oracle in oracles:
-        found = minimize_over_binaries(mults, oracle, stop_weight=best_value,
-                                       max_nodes=max_nodes)
-        if found is not None:
-            best_value, b = int(found[0]), found[1]
-            best_witness = {"pattern": b, "polynomial": oracle.last_solution,
-                            "vertex_class": label}
-    if best_value is None:  # pragma: no cover - all-ones is always feasible
-        raise InternalError("no feasible pattern found")
-    return best_value, best_witness
+    return minimize_over_binaries(spectrum.mults, oracle, max_nodes=max_nodes)
 
 
 def _quiet_milp(*args, **kwargs):
@@ -317,8 +305,7 @@ def _quiet_milp(*args, **kwargs):
 def _chebyshev_basis(spectrum: Spectrum, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(to_monomial, values) of T_0..T_k on [theta_min, theta_max]: column i
     of to_monomial holds T_i's monomial coefficients, and values[j, i] is
-    T_i(theta_j).  They depend on the spectrum and k alone, so one inertia
-    search computes them once for all its classes."""
+    T_i(theta_j)."""
     theta = np.array([float(t) for t in spectrum.distinct])
     cheb = [np.polynomial.Chebyshev.basis(i, domain=[theta.min(), theta.max()])
             for i in range(k + 1)]
@@ -328,21 +315,19 @@ def _chebyshev_basis(spectrum: Spectrum, k: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _propose_pattern(spectrum: Spectrum, oracle: _PatternOracle,
-                     basis: tuple[np.ndarray, np.ndarray], max_nodes: int,
-                     below: Optional[int]) -> Optional[tuple[int, tuple]]:
-    """(weight, pattern) of one class's lightest pattern by one HiGHS MILP,
-    or None when no pattern weighs less than `below`.
+                     max_nodes: int) -> tuple[int, tuple]:
+    """(weight, pattern) of the program's lightest pattern by one HiGHS MILP.
 
     Variables: Chebyshev coefficients c of p on [theta_min, theta_max] with
-    |c_i| <= MILP_COEFF_BOX, then binaries b_j; `basis` is
-    `_chebyshev_basis(spectrum, k)`.  |T_i| <= 1 there, so the big-M
-    (k+1) * box + 2 never binds when b_j = 1; the box can only hide
-    patterns, never admit one.  Raises BudgetExceeded if HiGHS stops unsolved.
+    |c_i| <= MILP_COEFF_BOX (see `_chebyshev_basis`), then binaries b_j.
+    |T_i| <= 1 there, so the big-M (k+1) * box + 2 never binds when b_j = 1;
+    the box can only hide patterns, never admit one.  Raises BudgetExceeded
+    if HiGHS stops unsolved.
     """
     from scipy.optimize import Bounds, LinearConstraint
 
     k = oracle.n_vars - 1
-    to_monomial, values = basis
+    to_monomial, values = _chebyshev_basis(spectrum, k)
     rows = np.array([[float(c) for c in coeffs] for coeffs, _, _ in oracle.base_rows]) @ to_monomial
     rows /= np.abs(rows).max(axis=1, keepdims=True)
     r1 = len(values)
@@ -351,85 +336,70 @@ def _propose_pattern(spectrum: Spectrum, oracle: _PatternOracle,
         LinearConstraint(np.hstack([rows, np.zeros((len(rows), r1))]), 0,
                          [0 if rel == EQ else np.inf for _, rel, _ in oracle.base_rows]),
         LinearConstraint(np.hstack([values,
-                                    -((k + 1) * MILP_COEFF_BOX + 2) * np.eye(r1)]), -np.inf, -1),
-        LinearConstraint(weights, -np.inf, np.inf if below is None else below - 1)]
+                                    -((k + 1) * MILP_COEFF_BOX + 2) * np.eye(r1)]), -np.inf, -1)]
     res = _quiet_milp(weights, constraints=constraints, integrality=weights > 0,
                       bounds=Bounds([-MILP_COEFF_BOX] * (k + 1) + [0] * r1,
                                     [MILP_COEFF_BOX] * (k + 1) + [1] * r1),
                       options={"node_limit": max_nodes, "mip_rel_gap": 0,
                                "mip_heuristic_run_feasibility_jump": False})
-    if res.status == 2:  # infeasible: nothing lighter than `below`
-        return None
     if res.status != 0:
         raise BudgetExceeded(f"inertia MILP unsolved within {max_nodes} nodes: {res.message}")
     b = tuple(int(round(x)) for x in res.x[k + 1:])
     return sum(m for m, bit in zip(spectrum.mults, b) if bit), b
 
 
-def _inertia_search(spectrum: Spectrum, programs: list, eig_table: list,
+def _inertia_search(spectrum: Spectrum, base_rows: list, eig_table: list,
                     max_nodes: int) -> tuple[int, dict]:
-    """Minimum over (label, base rows) classes.
+    """Lightest feasible pattern of the program with these base rows.
 
-    Exact spectra: best-first search.  Float spectra: one HiGHS MILP per
-    class, each cut to patterns lighter than the best proposal so far, then
-    one exact min-norm LP confirms the lightest proposal.  A class whose
-    proposal fails confirmation is settled by the exact best-first search,
-    and the classes are compared again.
+    Exact spectra: best-first search.  Float spectra: one HiGHS MILP
+    proposes a pattern and one exact min-norm LP confirms it; a proposal
+    that fails confirmation is replaced by the best-first search's optimum.
     """
-    oracles = [(label, _PatternOracle(rows, eig_table)) for label, rows in programs]
+    oracle = _PatternOracle(base_rows, eig_table)
     if spectrum.exact:
-        return _best_first_milp(spectrum, oracles, max_nodes)
-    basis = _chebyshev_basis(spectrum, len(eig_table[0]) - 1)
-    settled: dict[int, tuple[int, tuple]] = {}  # class index -> exact (weight, pattern)
-    while True:
-        best = None  # (weight, pattern, class index)
-        for idx, (_, oracle) in enumerate(oracles):
-            below = None if best is None else best[0]
-            found = settled.get(idx) or _propose_pattern(spectrum, oracle, basis, max_nodes,
-                                                         below)
-            if found is not None and (below is None or found[0] < below):
-                best = (*found, idx)
-        weight, b, idx = best
-        label, oracle = oracles[idx]
+        weight, b = _best_first_milp(spectrum, oracle, max_nodes)
+        return weight, {"pattern": b, "polynomial": oracle.last_solution}
+    weight, b = _propose_pattern(spectrum, oracle, max_nodes)
+    found = oracle.min_norm_witness(b)
+    if found is None:
+        weight, b = _best_first_milp(spectrum, oracle, max_nodes)
         found = oracle.min_norm_witness(b)
-        if found is not None:
-            coeffs, confirmed_by = found
-            _float_verify(spectrum, coeffs, b)
-            return weight, {"pattern": b, "polynomial": coeffs, "vertex_class": label,
-                            "confirmed_by": confirmed_by}
-        value, witness = _best_first_milp(spectrum, [oracles[idx]], max_nodes)
-        settled[idx] = (value, witness["pattern"])
+    coeffs, confirmed_by = found
+    _float_verify(spectrum, coeffs, b)
+    return weight, {"pattern": b, "polynomial": coeffs, "confirmed_by": confirmed_by}
 
 
 def inertia_milp(g: Graph, spectrum: Spectrum, k: int,
-                 max_nodes: int = 1 << 20, use_k1_shortcut: bool = True,
-                 inputs: Optional[dict] = None) -> BoundReport:
+                 max_nodes: int = 1 << 20, use_k1_shortcut: bool = True) -> BoundReport:
     """Optimal-polynomial Inertia-type bound for arbitrary graphs.
 
-    Runs the per-vertex program for one representative of every distinct
-    diagonal-vector class ((A^0)_uu..(A^k)_uu determines the program) and
-    takes the minimum.  `max_nodes` is a work budget, not a time, so no
-    result depends on machine speed: it caps the patterns tried per class,
-    and on float spectra also each class's HiGHS branch-and-bound nodes.
-    Running out raises BudgetExceeded.
+    One program for the whole graph: diag(p(A))_u >= 0 for one
+    representative u of every distinct diagonal-vector class
+    ((A^0)_uu..(A^k)_uu determines the diagonal).  Its optimum is the
+    minimum over the per-vertex programs that pin one class's diagonal to
+    0: each of those only adds its pin, and a feasible p minus its smallest
+    class diagonal w >= 0 is feasible for that class, with the same
+    pattern, as every p(theta_j) only drops.
+    `max_nodes` is a work budget, not a time, so no result depends on
+    machine speed: it caps the patterns the search tries, and on float
+    spectra also HiGHS's branch-and-bound nodes.  Running out raises
+    BudgetExceeded.
     """
     if k == 1 and use_k1_shortcut:
         value, witness = _k1_inertia_value(spectrum)
         return BoundReport("inertia_milp", Fraction(value), k, exact=spectrum.exact,
-                           inputs=inputs or {}, witness=witness)
+                           witness=witness)
     diags = _diag_powers(g.adjacency, k)
     classes = sorted({tuple(int(d[v]) for d in diags) for v in range(g.n_vertices)})
-    programs = [(u, [(u, EQ, 0)] + [(other, GE, 0) for other in classes if other != u])
-                for u in classes]
-    value, witness = _inertia_search(spectrum, programs, _eigen_power_table(spectrum, k),
-                                     max_nodes)
+    value, witness = _inertia_search(spectrum, [(u, GE, 0) for u in classes],
+                                     _eigen_power_table(spectrum, k), max_nodes)
     return BoundReport("inertia_milp", Fraction(value), k, exact=spectrum.exact,
-                       inputs=inputs or {}, witness=witness)
+                       witness=witness)
 
 
 def inertia_milp_walkreg(spectrum: Spectrum, k: int,
-                         max_nodes: int = 1 << 20, use_k1_shortcut: bool = True,
-                         inputs: Optional[dict] = None) -> BoundReport:
+                         max_nodes: int = 1 << 20, use_k1_shortcut: bool = True) -> BoundReport:
     """Optimal-polynomial Inertia-type bound from the spectrum alone.
 
     Valid for k-partially walk-regular graphs (caller-verified): the
@@ -440,15 +410,15 @@ def inertia_milp_walkreg(spectrum: Spectrum, k: int,
     if k == 1 and use_k1_shortcut:
         value, witness = _k1_inertia_value(spectrum)
         return BoundReport("inertia_milp_walkreg", Fraction(value), k,
-                           exact=spectrum.exact, inputs=inputs or {}, witness=witness)
+                           exact=spectrum.exact, witness=witness)
     eig_table = _eigen_power_table(spectrum, k)
     trace_row = tuple(
         sum(Fraction(m) * eig_table[j][i] for j, m in enumerate(spectrum.mults))
         for i in range(k + 1))
-    value, witness = _inertia_search(spectrum, [(None, [(trace_row, EQ, Fraction(0))])],
+    value, witness = _inertia_search(spectrum, [(trace_row, EQ, Fraction(0))],
                                      eig_table, max_nodes)
     return BoundReport("inertia_milp_walkreg", Fraction(value), k,
-                       exact=spectrum.exact, inputs=inputs or {}, witness=witness)
+                       exact=spectrum.exact, witness=witness)
 
 
 # ----------------------------------------------------------------------
@@ -456,8 +426,7 @@ def inertia_milp_walkreg(spectrum: Spectrum, k: int,
 # ----------------------------------------------------------------------
 
 def ratio_type_bound(spectrum: Spectrum, p: Polynomial, big_w, k: int,
-                     degrees: Optional[Sequence[int]] = None,
-                     inputs: Optional[dict] = None) -> BoundReport:
+                     degrees: Optional[Sequence[int]] = None) -> BoundReport:
     """alpha_k <= n (W(p) - lambda(p)) / (p(theta_0) - lambda(p)).
 
     W is the max diagonal of p(A), supplied by the caller (for walk-regular
@@ -478,11 +447,11 @@ def ratio_type_bound(spectrum: Spectrum, p: Polynomial, big_w, k: int,
     if not p_top > lam:
         raise AssumptionViolated("p(lambda_1) > lambda(p) fails")
     value = spectrum.n * (big_w - lam) / (p_top - lam)
-    return BoundReport("ratio_type", value, k, exact=exact, inputs=inputs or {},
+    return BoundReport("ratio_type", value, k, exact=exact,
                        witness={"polynomial": p.coeffs, "lambda_p": lam, "W": big_w})
 
 
-def ratio_alpha2_closed(spectrum: Spectrum, inputs: Optional[dict] = None) -> BoundReport:
+def ratio_alpha2_closed(spectrum: Spectrum) -> BoundReport:
     """Best degree-2 Ratio-type bound: pivot on the largest eigenvalue <= -1."""
     if spectrum.r < 2:
         raise TooFewEigenvalues("alpha_2 closed form needs r >= 2")
@@ -494,11 +463,10 @@ def ratio_alpha2_closed(spectrum: Spectrum, inputs: Optional[dict] = None) -> Bo
     t0, ti, tim1 = theta[0], theta[idx], theta[idx - 1]
     value = spectrum.n * (t0 + ti * tim1) / ((t0 - ti) * (t0 - tim1))
     return BoundReport("ratio_alpha2", value, 2, exact=spectrum.exact,
-                       inputs=inputs or {}, witness={"theta_i": ti, "theta_im1": tim1})
+                       witness={"theta_i": ti, "theta_im1": tim1})
 
 
-def ratio_alpha3_closed(spectrum: Spectrum, delta: int,
-                        inputs: Optional[dict] = None) -> BoundReport:
+def ratio_alpha3_closed(spectrum: Spectrum, delta: int) -> BoundReport:
     """Best degree-3 Ratio-type bound; delta = max diagonal of A^3."""
     if spectrum.r < 3:
         raise TooFewEigenvalues("alpha_3 closed form needs r >= 3")
@@ -519,12 +487,10 @@ def ratio_alpha3_closed(spectrum: Spectrum, delta: int,
     den = (t0 - ts) * (t0 - ts1) * (t0 - tr)
     value = spectrum.n * num / den
     return BoundReport("ratio_alpha3", value, 3, exact=spectrum.exact,
-                       inputs=inputs or {},
                        witness={"theta_s": ts, "theta_s1": ts1, "threshold": threshold})
 
 
-def minor_polynomial_lp(spectrum: Spectrum, k: int,
-                        inputs: Optional[dict] = None) -> BoundReport:
+def minor_polynomial_lp(spectrum: Spectrum, k: int) -> BoundReport:
     """Optimal Ratio-type bound via the minor-polynomial LP.
 
     Variables x_i = f(theta_i) with x_0 = 1, x_i >= 0; the requirement
@@ -566,15 +532,14 @@ def minor_polynomial_lp(spectrum: Spectrum, k: int,
     value = result.value + m0
     witness = {"values": (Fraction(1),) + tuple(result.solution)}
     return BoundReport("ratio_minor_lp", value, k, exact=spectrum.exact,
-                       inputs=inputs or {}, witness=witness, flags=flags)
+                       witness=witness, flags=flags)
 
 
 # ----------------------------------------------------------------------
 # Phase-rotation closed forms
 # ----------------------------------------------------------------------
 
-def phase_rotation_closed_bound(q: int, n: int, k: int,
-                                inputs: Optional[dict] = None) -> BoundReport:
+def phase_rotation_closed_bound(q: int, n: int, k: int) -> BoundReport:
     """Closed-form optimal Ratio-type bounds for the phase-rotation graph,
     k in {1, 2, 3}; raises NotApplicable outside each formula's range."""
     F = Fraction
@@ -627,5 +592,4 @@ def phase_rotation_closed_bound(q: int, n: int, k: int,
             value = F(q**n * num, den)
     else:
         raise NotApplicable("closed forms exist for k in {1, 2, 3} only")
-    return BoundReport("phase_rotation_closed", value, k, exact=True,
-                       inputs=inputs or dict(q=q, n=n))
+    return BoundReport("phase_rotation_closed", value, k, exact=True)

@@ -31,7 +31,7 @@ def graph_from_edges(n, edges):
     adj = np.zeros((n, n), dtype=np.uint8)
     for u, v in edges:
         adj[u, v] = adj[v, u] = 1
-    return gr.Graph(list(range(n)), adj)
+    return gr.Graph(adj)
 
 
 def test_build_distance_graph_examples():
@@ -177,7 +177,7 @@ def _reference_diag_powers(adjacency, k):
 
 
 def complete_graph(n):
-    return gr.Graph(list(range(n)), np.ones((n, n), dtype=np.uint8) - np.eye(n, dtype=np.uint8))
+    return gr.Graph(np.ones((n, n), dtype=np.uint8) - np.eye(n, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("g,k", [(gr.build_distance_graph(s), 4) for s in AXIOM_SPACES]
@@ -209,8 +209,9 @@ def test_city_block_degree_irregularity():
         space = mt.CityBlockSpace(m, n)
         g = gr.build_distance_graph(space)
         degs = g.degree_list
-        assert degs[g.index[(0,) * n]] == n
-        assert degs[g.index[(1,) * n]] == 2 * n
+        elements = space.elements()
+        assert degs[elements.index((0,) * n)] == n
+        assert degs[elements.index((1,) * n)] == 2 * n
 
 
 def test_distance_regular_phase_rotation():

@@ -245,10 +245,6 @@ def test_minimize_over_binaries_none_feasible():
         minimize_over_binaries([2, 3], lambda b: False)
 
 
-def test_minimize_over_binaries_stop_weight():
-    assert minimize_over_binaries([5, 7], lambda b: True, stop_weight=0) is None
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_minimize_over_binaries_matches_full_enumeration(seed):
     rng = random.Random(seed)
@@ -273,8 +269,3 @@ def test_minimize_over_binaries_matches_full_enumeration(seed):
     else:
         value, b = minimize_over_binaries(weights, oracle)
         assert (value, b) == best
-
-
-def test_minimize_over_binaries_rational_weights():
-    value, b = minimize_over_binaries([F(1, 2), F(1, 3)], lambda bb: any(bb))
-    assert value == F(1, 3) and b == (0, 1)

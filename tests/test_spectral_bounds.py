@@ -37,7 +37,7 @@ X = Polynomial.from_list([0, 1])
 
 def complete_graph(q):
     adj = np.ones((q, q), dtype=np.uint8) - np.eye(q, dtype=np.uint8)
-    return gr.Graph(list(range(q)), adj)
+    return gr.Graph(adj)
 
 
 def test_rationalize():
@@ -124,10 +124,11 @@ def float_instance(metric, **params):
     return g, spec
 
 
-def exact_search(spectrum, programs, eig_table, max_nodes):
-    """Reference: best-first search with exact oracles and no float screen."""
-    oracles = [(label, sb._PatternOracle(rows, eig_table)) for label, rows in programs]
-    return sb._best_first_milp(spectrum, oracles, max_nodes)
+def exact_search(spectrum, base_rows, eig_table, max_nodes):
+    """Reference: best-first search with an exact oracle and no float screen."""
+    oracle = sb._PatternOracle(base_rows, eig_table)
+    value, b = sb._best_first_milp(spectrum, oracle, max_nodes)
+    return value, {"pattern": b, "polynomial": oracle.last_solution}
 
 
 def assert_witness_certifies(g, spec, k, rep):
@@ -165,45 +166,96 @@ def _row_holds(coeffs, rel, rhs, a):
     lambda: sb.inertia_milp(*float_instance("city-block", m=3, n=2), 2),
 ], ids=["phase-rotation-3-3-walkreg", "city-block-3-2-per-class"])
 def test_pattern_oracle_agrees_with_min_norm_witness(make_programs, monkeypatch):
-    """On every pattern of every class program: the feasibility oracle (with
-    its core pruning) and the min-norm LP agree, and both solutions satisfy
+    """On every pattern of the program: the feasibility oracle (with its
+    core pruning) and the min-norm LP agree, and both solutions satisfy
     every row of the pattern exactly."""
     captured = []
 
-    def capture(spectrum, programs, eig_table, max_nodes):
-        captured.append((programs, eig_table))
+    def capture(spectrum, base_rows, eig_table, max_nodes):
+        captured.append((base_rows, eig_table))
         return 0, {}
 
     monkeypatch.setattr(sb, "_inertia_search", capture)
     make_programs()
-    (programs, eig_table), = captured
+    (base_rows, eig_table), = captured
+    oracle = sb._PatternOracle(base_rows, eig_table)
     feasible = 0
-    for _, base_rows in programs:
-        oracle = sb._PatternOracle(base_rows, eig_table)
-        for b in itertools.product((0, 1), repeat=len(eig_table)):
-            rows = list(base_rows) + [(eig_table[j], "<=", -1) for j, bit in enumerate(b)
-                                      if not bit]
-            found = oracle.min_norm_witness(b)
-            assert oracle(b) == (found is not None), b
-            if found is not None:
-                feasible += 1
-                for a in (found[0], oracle.last_solution):
-                    assert all(_row_holds(*row, a) for row in rows), b
-    assert 0 < feasible < len(programs) * 2 ** len(eig_table)
+    for b in itertools.product((0, 1), repeat=len(eig_table)):
+        rows = list(base_rows) + [(eig_table[j], "<=", -1) for j, bit in enumerate(b) if not bit]
+        found = oracle.min_norm_witness(b)
+        assert oracle(b) == (found is not None), b
+        if found is not None:
+            feasible += 1
+            for a in (found[0], oracle.last_solution):
+                assert all(_row_holds(*row, a) for row in rows), b
+    assert 0 < feasible < 2 ** len(eig_table)
+
+
+def per_class_programs(g, k):
+    """Reference: the per-vertex programs the joint program replaced, one
+    per diagonal class u, with u's diagonal of p(A) pinned to 0 and every
+    other class's diagonal >= 0."""
+    diags = gr._diag_powers(g.adjacency, k)
+    classes = sorted({tuple(int(d[v]) for d in diags) for v in range(g.n_vertices)})
+    return [[(u, "==", 0)] + [(other, ">=", 0) for other in classes if other != u]
+            for u in classes]
+
+
+EQUIVALENCE_INSTANCES = [
+    ("city-block", dict(m=3, n=2), 2), ("city-block", dict(m=3, n=2), 3),
+    ("city-block", dict(m=4, n=1), 2), ("city-block", dict(m=4, n=1), 3),
+    ("varshamov", dict(n=4), 2),
+    ("phase-rotation", dict(q=3, n=3), 2)]
+
+
+@pytest.mark.parametrize("metric,params,k", EQUIVALENCE_INSTANCES, ids=[
+    "-".join([metric] + [f"{key}{v}" for key, v in params.items()] + [f"k{k}"])
+    for metric, params, k in EQUIVALENCE_INSTANCES])
+def test_joint_program_equals_per_class_minimum(metric, params, k, monkeypatch):
+    """A pattern is feasible for the joint program (every class diagonal of
+    p(A) >= 0) exactly when it is for some per-class program, and the joint
+    optimum is the per-class minimum, on float and exact spectra alike."""
+    space = tables.make_space(metric, **params)
+    g = gr.build_distance_graph(space)
+    spec = tables.spectrum_for(space, g)
+    captured = []
+    search = sb._inertia_search
+
+    def capture(spectrum, base_rows, eig_table, max_nodes):
+        captured.append((base_rows, eig_table))
+        return search(spectrum, base_rows, eig_table, max_nodes)
+
+    monkeypatch.setattr(sb, "_inertia_search", capture)
+    rep = sb.inertia_milp(g, spec, k, use_k1_shortcut=False)
+    (base_rows, eig_table), = captured
+    programs = per_class_programs(g, k)
+    joint = sb._PatternOracle(base_rows, eig_table)
+    per_class = [sb._PatternOracle(rows, eig_table) for rows in programs]
+    for b in itertools.product((0, 1), repeat=len(eig_table)):
+        assert joint(b) == any(oracle(b) for oracle in per_class), b
+    per_class_min = min(exact_search(spec, rows, eig_table, 1 << 20)[0] for rows in programs)
+    assert exact_search(spec, base_rows, eig_table, 1 << 20)[0] == per_class_min == rep.raw_value
 
 
 def test_float_milp_rejected_proposal_falls_back_to_exact(monkeypatch):
-    g, spec = float_instance("city-block", m=3, n=2)  # three diagonal classes
+    g, spec = float_instance("city-block", m=3, n=2)
     calls = []
+    best_first = sb._best_first_milp
 
-    def infeasible_proposal(spectrum, oracle, basis, max_nodes, below):
-        # p(theta) <= -1 at every eigenvalue contradicts a zero diagonal of p(A)
-        calls.append(below)
+    def infeasible_proposal(spectrum, oracle, max_nodes):
+        # p(theta) <= -1 at every eigenvalue contradicts diagonals of p(A) >= 0
+        calls.append("proposal")
         return 0, (0,) * len(spectrum.distinct)
 
+    def recorded_best_first(*args):
+        calls.append("best-first")
+        return best_first(*args)
+
     monkeypatch.setattr(sb, "_propose_pattern", infeasible_proposal)
+    monkeypatch.setattr(sb, "_best_first_milp", recorded_best_first)
     rep = sb.inertia_milp(g, spec, 2)
-    assert len(calls) >= 3  # each class proposed once before it was settled
+    assert calls == ["proposal", "best-first"]
+    assert rep.witness["confirmed_by"] in ("float_basis", "simplex")
     assert_witness_certifies(g, spec, 2, rep)
     monkeypatch.setattr(sb, "_inertia_search", exact_search)
     assert rep.raw_value == sb.inertia_milp(g, spec, 2).raw_value == 3
@@ -222,18 +274,18 @@ def _counting_solve_lp(monkeypatch) -> list:
 
 
 def _winning_min_norm_program(monkeypatch):
-    """(oracle, pattern, min-norm LP) of city block (3,2), k=2's winning class."""
+    """(oracle, pattern, min-norm LP) of city block (3,2), k=2's winning pattern."""
     captured = []
     search = sb._inertia_search
 
-    def capture(spectrum, programs, eig_table, max_nodes):
-        captured.append((dict(programs), eig_table))
-        return search(spectrum, programs, eig_table, max_nodes)
+    def capture(spectrum, base_rows, eig_table, max_nodes):
+        captured.append((base_rows, eig_table))
+        return search(spectrum, base_rows, eig_table, max_nodes)
 
     monkeypatch.setattr(sb, "_inertia_search", capture)
     rep = sb.inertia_milp(*float_instance("city-block", m=3, n=2), 2)
-    (programs, eig_table), = captured
-    oracle = sb._PatternOracle(programs[rep.witness["vertex_class"]], eig_table)
+    (base_rows, eig_table), = captured
+    oracle = sb._PatternOracle(base_rows, eig_table)
     b = rep.witness["pattern"]
     zeros = [j for j, bit in enumerate(b) if not bit]
     lp = LinearProgram((Fraction(1),) * (2 * oracle.n_vars), oracle._program(zeros))
@@ -306,7 +358,7 @@ def _captured_milp_options(monkeypatch) -> list:
 
 
 MIN_NORM_FALLBACKS = 0  # exact-simplex min-norm solves on tables 2 and 6, of 22
-TABLE_FLOAT_MILPS = 76  # HiGHS MILPs on tables 2 and 6: one per diagonal class and row
+TABLE_FLOAT_MILPS = 22  # HiGHS MILPs on tables 2 and 6: one per row with k >= 2
 
 
 def test_min_norm_fallbacks_are_pinned(monkeypatch):
@@ -340,7 +392,7 @@ def test_milp_skips_feasibility_jump(monkeypatch):
     options = _captured_milp_options(monkeypatch)
     assert sb.inertia_milp(*float_instance("city-block", m=3, n=2), 2).floored == 3
     assert options == [{"node_limit": 1 << 20, "mip_rel_gap": 0,
-                        "mip_heuristic_run_feasibility_jump": False}] * 3  # one per class
+                        "mip_heuristic_run_feasibility_jump": False}]
 
 
 def test_inertia_milp_warns_nothing():
@@ -357,10 +409,10 @@ def test_inertia_milp_warns_nothing():
 
 
 def test_float_milp_node_budget_raises():
-    g, spec = float_instance("city-block", m=5, n=2)
+    g, spec = float_instance("city-block", m=6, n=3)
     with pytest.raises(BudgetExceeded):
-        sb.inertia_milp(g, spec, 4, max_nodes=1)
-    assert sb.inertia_milp(g, spec, 4).floored == 4
+        sb.inertia_milp(g, spec, 2, max_nodes=1)
+    assert sb.inertia_milp(g, spec, 2).floored == 84
 
 
 @pytest.mark.parametrize("space,k", [
