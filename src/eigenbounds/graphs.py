@@ -262,29 +262,18 @@ def _is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
     return bool(np.array_equal(a[np.ix_(p, p)], a))
 
 
-def _orbit_representatives(cand: int, gens: list[list[int]]) -> list[int]:
-    """Orbit representatives (smallest index) of the candidate set under the
-    group generated by `gens`, which must map the set into itself."""
-    reps = []
-    seen = 0
-    rest = cand
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        if (seen >> v) & 1:
-            continue
-        reps.append(v)
-        frontier = [v]
-        seen |= 1 << v
-        while frontier:
-            u = frontier.pop()
-            for gen in gens:
-                w = gen[u]
-                if not (seen >> w) & 1:
-                    seen |= 1 << w
-                    frontier.append(w)
-        rest &= ~seen
-    return reps
+def _orbit(v: int, gens: list[list[int]]) -> int:
+    """Bitmask of v's orbit under the group generated by `gens`."""
+    orbit = 1 << v
+    frontier = [v]
+    while frontier:
+        u = frontier.pop()
+        for gen in gens:
+            w = gen[u]
+            if not (orbit >> w) & 1:
+                orbit |= 1 << w
+                frontier.append(w)
+    return orbit
 
 
 def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
@@ -302,10 +291,16 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
     each is validated against the adjacency matrix before use, so an
     invalid hint is ignored rather than trusted.  `automorphism_generators`
     may carry vertex permutations (validated as automorphisms, invalid ones
-    dropped); the top two branching levels then consider only orbit
-    representatives: every maximum independent set maps under the group to
-    one containing a representative, so the maximum over representative
-    branches is the maximum overall.
+    dropped); they drive orbital branching at every depth.  Each node holds
+    generators of a group that fixes `chosen` pointwise and maps `cand`
+    onto itself.  Once vertex v's branch is done, v's whole orbit under
+    that group leaves `cand`, and v's child gets the generators that fix v.
+    This is exact: the removed orbits are invariant under the group, so
+    `cand` stays invariant, and so does every child's candidate set under
+    the child's generators.  Any independent set in `cand` that meets v's
+    orbit maps, under some group element, onto one of the same size that
+    contains v, so v's branch has already covered it.  Without generators
+    the orbit is v alone and this is the plain clique-cover search.
 
     `upper_bound` may carry a proven bound on alpha: the search stops with
     exact=True and certified=True as soon as the incumbent reaches it.  An
@@ -352,35 +347,26 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
         if size >= stop:
             raise _BoundReached
 
-    def expand(cand: int, size: int, chosen: int, depth: int,
-               active_gens: list[list[int]]) -> None:
+    def expand(cand: int, size: int, chosen: int, gens: list[list[int]]) -> None:
         if nodes[0] >= max_nodes:
             raise BudgetExceeded
         nodes[0] += 1
-        order = _greedy_clique_cover(cand, adj)
-        if active_gens and depth < 2:
-            if size + order[-1][1] <= best[0]:
-                return
-            for rep in _orbit_representatives(cand, active_gens):
-                new_chosen = chosen | (1 << rep)
-                new_cand = cand & ~adj[rep] & ~(1 << rep)
-                if new_cand:
-                    fixed = [gen for gen in active_gens if gen[rep] == rep]
-                    expand(new_cand, size + 1, new_chosen, depth + 1, fixed)
-                elif size + 1 > best[0]:
-                    improve(size + 1, new_chosen)
-            return
-        # `cand` shrinks to the cover-order prefix before v as the loop runs
-        for v, bound in reversed(order):
+        for v, bound in reversed(_greedy_clique_cover(cand, adj)):
             if size + bound <= best[0]:
                 return
+            if not (cand >> v) & 1:
+                continue  # in the orbit of a finished branch
+            # `cand` shrinks to the cover-order prefix before v, less finished orbits
             cand ^= 1 << v
             new_chosen = chosen | (1 << v)
             new_cand = cand & ~adj[v]
             if new_cand:
-                expand(new_cand, size + 1, new_chosen, depth + 1, [])
+                expand(new_cand, size + 1, new_chosen,
+                       [gen for gen in gens if gen[v] == v] if gens else gens)
             elif size + 1 > best[0]:
                 improve(size + 1, new_chosen)
+            if gens:
+                cand &= ~_orbit(v, gens)
 
     exact = True
     certified = best[0] >= stop
@@ -388,7 +374,7 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
         gens = [[pos[candidate[perm[p]]] for p in range(n)]
                 for candidate in automorphism_generators if _is_automorphism(g, candidate)]
         try:
-            expand(full, 0, 0, 0, gens)
+            expand(full, 0, 0, gens)
         except BudgetExceeded:
             exact = False
         except _BoundReached:

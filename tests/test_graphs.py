@@ -372,12 +372,66 @@ def test_adjacency_bitmasks_match_loop():
 
 def test_mis_node_count_is_pinned():
     """The search tree depends only on the graph: phase rotation (3,5), k=2
-    with its automorphisms expands 124,410 nodes and no bound stops it."""
+    with its automorphisms expands 9,444 nodes and no bound stops it."""
     space = pr_space(3, 5)
     res = gr.k_independence_number(
         gr.build_distance_graph(space), 2, initial=tables.alpha_hints(space, 2),
         automorphism_generators=tables.automorphism_generators(space))
-    assert (res.alpha, res.nodes, res.exact, res.certified) == (11, 124410, True, False)
+    assert (res.alpha, res.nodes, res.exact, res.certified) == (11, 9444, True, False)
+
+
+@pytest.mark.parametrize("n, density, nodes", [(60, 0.1, 1819), (100, 0.2, 44268)])
+def test_mis_without_generators_node_count_is_pinned(n, density, nodes):
+    """Without automorphisms every finished branch drops only its own
+    vertex, so the search tree is the plain clique-cover one."""
+    rng = random.Random(n)
+    g = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < density])
+    res = gr.max_independent_set(g)
+    assert res.exact and res.nodes == nodes
+
+
+def _assert_exact_independent(g, res):
+    assert res.exact and len(res.certificate) == res.alpha
+    assert not g.adjacency[np.ix_(res.certificate, res.certificate)].any()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_orbital_branching_keeps_alpha_on_circulants(seed):
+    """Circulant graphs on Z_m, 32 <= m <= 48 (past brute-force sizes), with
+    rotation and reflection as generators: alpha equals the plain search's."""
+    rng = random.Random(seed)
+    m = rng.randrange(32, 49)
+    connection = rng.sample(range(1, m // 2 + 1), rng.randrange(2, 6))
+    g = graph_from_edges(m, [(i, (i + s) % m) for i in range(m) for s in connection])
+    rotation_reflection = [[(i + 1) % m for i in range(m)], [(-i) % m for i in range(m)]]
+    plain = gr.max_independent_set(g)
+    orbital = gr.max_independent_set(g, automorphism_generators=rotation_reflection)
+    _assert_exact_independent(g, plain)
+    _assert_exact_independent(g, orbital)
+    assert orbital.alpha == plain.alpha
+
+
+def _block(n, partition):
+    return mt.BlockSpace(mt.BlockParams(F2, n, partition))
+
+
+@pytest.mark.parametrize("space, k", [
+    (pr_space(3, 4), 1), (pr_space(3, 4), 2), (pr_space(2, 6), 1), (pr_space(2, 6), 2),
+    (_block(6, ((1, 2), (3,), (4, 5), (6,))), 1), (_block(6, ((1, 2), (3,), (4, 5), (6,))), 2),
+    (_block(7, ((1, 2, 3), (4,), (5, 6), (7,))), 2),
+], ids=["pr-3-4-k1", "pr-3-4-k2", "pr-2-6-k1", "pr-2-6-k2",
+        "block-2-6-k1", "block-2-6-k2", "block-2-7-k2"])
+def test_orbital_branching_keeps_alpha_on_metric_spaces(space, k):
+    """Table-sized power graphs: the metric's automorphisms give the alpha
+    of the search without them."""
+    g = gr.power_graph(gr.build_distance_graph(space), k)
+    plain = gr.max_independent_set(g)
+    orbital = gr.max_independent_set(
+        g, automorphism_generators=tables.automorphism_generators(space))
+    _assert_exact_independent(g, plain)
+    _assert_exact_independent(g, orbital)
+    assert orbital.alpha == plain.alpha
 
 
 def test_mis_upper_bound_exit():

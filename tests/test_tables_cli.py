@@ -224,6 +224,21 @@ def test_cli_verify_table4():
     assert text.count("ok") == 5 and "PASS table 4" in text
 
 
+def test_table_oracle_node_count_is_pinned(monkeypatch):
+    """A work counter that holds on any machine: the alpha oracle expands
+    9,499 nodes over the 69 rows of tables 2-6."""
+    oracle = gr.k_independence_number
+    nodes = []
+
+    def counted(*args, **kwargs):
+        res = oracle(*args, **kwargs)
+        nodes.append(res.nodes)
+        return res
+    monkeypatch.setattr(gr, "k_independence_number", counted)
+    assert all(tables.verify_table(t) for t in range(2, 7))
+    assert (len(nodes), sum(nodes)) == (69, 9499)
+
+
 def test_cli_verify_takes_no_budget(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "4", "--budget", "5"])
