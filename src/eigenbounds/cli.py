@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metric_args(p)
     p.add_argument("--check", action="store_true",
                    help="cross-check against the dense eigensolver")
-    p.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
+    p.add_argument("--format", choices=("markdown", "json"), default="markdown")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="re-verify a bundled reference table (no budget "

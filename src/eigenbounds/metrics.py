@@ -6,9 +6,10 @@ set in lexicographic order with the all-zeros element at index 0,
 `distance(x, y)` is the exact metric, and `adjacency()` is the 0/1 matrix
 of the distance-1 graph in that order.  `adjacency()` works on vertex
 indices alone: the index of a vertex is the mixed-radix number of its
-coordinates (first coordinate most significant), so the unit sphere around
-every vertex is a few numpy operations on index arrays, not a loop over
-elements.  It equals the pairwise `distance(x, y) == 1` scan; the
+coordinates (first coordinate most significant) in the space's `base`, and
+`digits()` holds those coordinates for every vertex, so the unit sphere
+around every vertex is a few numpy operations on index arrays, not a loop
+over elements.  It equals the pairwise `distance(x, y) == 1` scan; the
 equivalence is tested exhaustively.
 
 City block elements are plain integer tuples, Varshamov elements are 0/1
@@ -257,10 +258,20 @@ def varshamov_distance(x: Sequence[int], y: Sequence[int]) -> int:
 
 class MetricSpace:
     """Common surface: name, params, ambient_size, elements, distance,
-    adjacency."""
+    adjacency, digits."""
 
     name: str
     ambient_size: int
+    n: int
+    base: int  # every coordinate is one of 0..base-1
+
+    def digits(self) -> tuple[np.ndarray, np.ndarray]:
+        """(radix, digits): radix[i] = base^(n-1-i), and row v of digits holds
+        the coordinates of the v-th element, so that digits @ radix ==
+        arange(base^n)."""
+        radix = self.base ** np.arange(self.n - 1, -1, -1, dtype=np.intp)
+        digits = (np.arange(self.base**self.n, dtype=np.intp)[:, None] // radix) % self.base
+        return radix, digits
 
     def elements(self) -> list:
         raise NotImplementedError
@@ -272,15 +283,6 @@ class MetricSpace:
         """Symmetric 0/1 uint8 matrix with a 1 where d(x, y) = 1, rows and
         columns in `elements()` order."""
         raise NotImplementedError
-
-
-def _mixed_radix(base: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(radix, digits): radix[i] = base^(n-1-i), and row v of digits holds the
-    coordinates of the v-th tuple of `itertools.product(range(base), repeat=n)`,
-    so that digits @ radix == arange(base^n)."""
-    radix = base ** np.arange(n - 1, -1, -1, dtype=np.intp)
-    digits = (np.arange(base**n, dtype=np.intp)[:, None] // radix) % base
-    return radix, digits
 
 
 def _edges_to_adjacency(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -328,6 +330,7 @@ class _FieldMetricSpace(MetricSpace):
     def __init__(self, field: FiniteField, n: int):
         self.field = field
         self.n = n
+        self.base = field.q
         self.ambient_size = field.q**n
 
     def weight(self, v: FieldVector) -> int:
@@ -347,7 +350,7 @@ class _FieldMetricSpace(MetricSpace):
     def translations(self) -> np.ndarray:
         """V x |S| index table: column j maps every vertex x to x + s_j,
         s_j the j-th `unit_sphere()` vector."""
-        radix, digits = _mixed_radix(self.field.q, self.n)
+        radix, digits = self.digits()
         add = np.array(self.field.add_table, dtype=np.intp)
         sphere = np.array([s.coords for s in self.unit_sphere()], dtype=np.intp)
         table = np.zeros((len(digits), len(sphere)), dtype=np.intp)
@@ -357,7 +360,7 @@ class _FieldMetricSpace(MetricSpace):
 
     def scaling(self, c: int) -> np.ndarray:
         """Index array of the vertex permutation x -> c*x."""
-        radix, digits = _mixed_radix(self.field.q, self.n)
+        radix, digits = self.digits()
         return np.array(self.field.mul_table[c], dtype=np.intp)[digits] @ radix
 
     def adjacency(self) -> np.ndarray:
@@ -372,6 +375,7 @@ class CityBlockSpace(MetricSpace):
     def __init__(self, m: int, n: int):
         self.params = CityBlockParams(m, n)
         self.m, self.n = m, n
+        self.base = m
         self.ambient_size = m**n
 
     def elements(self) -> list[tuple[int, ...]]:
@@ -382,7 +386,7 @@ class CityBlockSpace(MetricSpace):
 
     def adjacency(self) -> np.ndarray:
         """x ~ x + e_i wherever coordinate i is below m - 1."""
-        radix, digits = _mixed_radix(self.m, self.n)
+        radix, digits = self.digits()
         idx = np.arange(len(digits))
         rows = [idx[digits[:, i] < self.m - 1] for i in range(self.n)]
         cols = [r + radix[i] for i, r in enumerate(rows)]
@@ -444,6 +448,7 @@ class VarshamovSpace(MetricSpace):
     def __init__(self, n: int):
         self.params = VarshamovParams(n)
         self.n = n
+        self.base = 2
         self.ambient_size = 2**n
 
     def elements(self) -> list[tuple[int, ...]]:

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import classical_bounds as cb
 from . import graphs as gr
 from . import metrics as mt
@@ -49,122 +51,74 @@ def format_partition(partition) -> str:
 
 
 # ----------------------------------------------------------------------
-# Lower-bound hints for the exact oracle (verified before use)
+# Incumbents and symmetries for the exact oracle, on vertex indices
 # ----------------------------------------------------------------------
 
-def _functional_kernels(space) -> list[list[int]]:
-    """Kernels of <lam, .> for lam = (1..1) and (1..1,c): independent sets of
-    the phase-rotation graph whenever lam has no zero entry and nonzero sum."""
-    f, n = space.field, space.n
-    labels = space.elements()
-    lams = [(1,) * n] + [(1,) * (n - 1) + (c,) for c in f.nonzero() if c != 1]
-    kernels = []
-    for lam in lams:
-        total = 0
-        for l in lam:
-            total = f.add(total, l)
-        if total == 0:
-            continue
-        kernel = []
-        for i, x in enumerate(labels):
-            acc = 0
-            for l, c in zip(lam, x.coords):
-                acc = f.add(acc, f.mul(l, c))
-            if acc == 0:
-                kernel.append(i)
-        kernels.append(kernel)
-    return kernels
-
-
-def _block_hints(space: mt.BlockSpace, k: int) -> list[list[int]]:
-    params = space.params
-    sizes = [len(b) for b in params.partition]
-    f = params.field
-    labels = space.elements()
-    hints = []
-    if k == 1:
-        # pin the largest block to the padded sum of the others
-        s0 = sizes[0]
-        positions = [tuple(p - 1 for p in blk) for blk in params.partition]
-        hint = []
-        for i, x in enumerate(labels):
-            acc = [0] * s0
-            for blk in positions[1:]:
-                for slot, p in enumerate(blk):
-                    acc[slot] = f.add(acc[slot], x.coords[p])
-            if all(x.coords[p] == acc[slot] for slot, p in enumerate(positions[0])):
-                hint.append(i)
-        hints.append(hint)
-    if k == params.m - 1 and len(set(sizes)) == 1:
-        positions = [tuple(p - 1 for p in blk) for blk in params.partition]
-        hint = []
-        for i, x in enumerate(labels):
-            contents = {tuple(x.coords[p] for p in blk) for blk in positions}
-            if len(contents) == 1:
-                hint.append(i)
-        hints.append(hint)
-    return hints
-
-
 LINEAR_CODE_CANDIDATES = 4096  # generator matrices one linear-code search may try
+_BATCH_WORDS = 1 << 14  # codeword entries one batch of candidates holds (its memory)
 
 
 def linear_code_hint(space, k: int, target: int) -> list[int]:
     """Vertex indices of a linear code over GF(q) whose nonzero words all have
-    metric `weight` > k, so that it is independent in the k-th power graph.
+    metric weight > k, so that it is independent in the k-th power graph.
 
     Tries systematic generator matrices [I_r | A], A in lexicographic order,
     for r from floor(log_q target) down to 1, and returns the first code
     found.  Returns [] once LINEAR_CODE_CANDIDATES matrices have failed.
+    A word's weight is its distance from 0, and the geodesic distance is the
+    metric, so the light words (weight <= k) are the radius-k ball around
+    vertex 0.  Candidates are checked in batches.
     """
-    f, n = space.field, space.n
-    q, add, mul = f.q, f.add_table, f.mul_table
-    weights: dict[tuple[int, ...], int] = {}
-
-    def heavy(word: tuple[int, ...]) -> bool:
-        if word not in weights:
-            weights[word] = space.weight(FieldVector(f, word))
-        return weights[word] > k
-
-    def index(word: tuple[int, ...]) -> int:  # position in the lexicographic enumeration
-        i = 0
-        for c in word:
-            i = i * q + c
-        return i
-
+    f, n, q = space.field, space.n, space.field.q
+    add = np.array(f.add_table, dtype=np.intp)
+    mul = np.array(f.mul_table, dtype=np.intp)
+    radix, _ = space.digits()
+    steps = space.translations()
+    light = np.zeros(space.ambient_size, dtype=bool)
+    light[0] = True
+    for _ in range(k):
+        light[steps[light].ravel()] = True
     top = 0
     while top < n and q ** (top + 1) <= target:
         top += 1
-    tried = 0
+    left = LINEAR_CODE_CANDIDATES
     for r in range(top, 0, -1):
-        coefficients = [c for c in itertools.product(range(q), repeat=r) if any(c)]
-        for entries in itertools.product(range(q), repeat=r * (n - r)):
-            if tried == LINEAR_CODE_CANDIDATES:
-                return []
-            tried += 1
-            rows = [entries[i * (n - r):(i + 1) * (n - r)] for i in range(r)]
-            words = []
-            for c in coefficients:
-                tail = [0] * (n - r)
-                for ci, row in zip(c, rows):
-                    for j, a in enumerate(row):
-                        tail[j] = add[tail[j]][mul[ci][a]]
-                word = c + tuple(tail)
-                if not heavy(word):
-                    break
-                words.append(word)
-            else:
-                return sorted([0] + [index(w) for w in words])
+        width = r * (n - r)
+        coefficients = np.array(list(itertools.product(range(q), repeat=r))[1:], dtype=np.intp)
+        heads = coefficients @ radix[:r]
+        count = min(left, q**width)
+        # A of candidate t holds the base-q digits of t, most significant first;
+        # t < LINEAR_CODE_CANDIDATES <= q^places, so only the last places are nonzero
+        places = min(width, LINEAR_CODE_CANDIDATES.bit_length())
+        batch = max(1, _BATCH_WORDS // (len(coefficients) * max(1, n - r)))
+        for start in range(0, count, batch):
+            ids = np.arange(start, min(count, start + batch), dtype=np.intp)
+            entries = np.zeros((len(ids), width), dtype=np.intp)
+            entries[:, width - places:] = (ids[:, None] // q ** np.arange(
+                places - 1, -1, -1, dtype=np.intp)) % q
+            entries = entries.reshape(len(ids), r, n - r)
+            # the rows of [I_r | A] are codewords: a light row rules A out cheaply
+            entries = entries[~light[radix[:r] + entries @ radix[r:]].any(axis=1)]
+            tails = np.zeros((len(entries), len(coefficients), n - r), dtype=np.intp)
+            for i in range(r):
+                tails = add[tails, mul[coefficients[None, :, i, None], entries[:, None, i]]]
+            words = heads + tails @ radix[r:]
+            heavy = ~light[words].any(axis=1)
+            if heavy.any():
+                return sorted([0] + words[heavy.argmax()].tolist())
+        left -= count
+        if not left:
+            return []
     return []
 
 
 def _transpose(*pairs):
     """The coordinate map exchanging each pair of 0-indexed positions."""
-    def fn(c):
-        c = list(c)
+    def fn(digits):
+        digits = digits.copy()
         for a, b in pairs:
-            c[a], c[b] = c[b], c[a]
-        return tuple(c)
+            digits[:, [a, b]] = digits[:, [b, a]]
+        return digits
     return fn
 
 
@@ -195,10 +149,11 @@ class MetricKind:
     # bound name -> (space, d) -> value; None or NotApplicable where it does not apply
     classical: dict[str, Callable]
     params: Callable  # space -> the `params` dict of a row
-    coordinate_maps: Callable = lambda space: []  # space -> isometries of coordinate tuples
-    hints: Callable = lambda space, k: []  # (space, k) -> candidate sets for the alpha oracle
+    # space -> isometries, each mapping the V x n digit array of
+    # `MetricSpace.digits` to the digits of the image vertices
+    coordinate_maps: Callable = lambda space: []
     # a translation-invariant weight metric on GF(q)^n: translations and
-    # scalings are automorphisms, and linear codes are candidate sets
+    # scalings are automorphisms, and linear codes are the oracle's incumbents
     field_metric: bool = True
 
 
@@ -240,9 +195,7 @@ KINDS: dict[str, MetricKind] = {
                    "hamming": lambda s, d: cb.hamming_city_block(s.m, s.n, d)},
         params=lambda s: {"m": s.m, "n": s.n},
         coordinate_maps=lambda s: _adjacent_swaps(s) + [  # then reflections
-            lambda x, i=i: x[:i] + (s.m - 1 - x[i],) + x[i + 1:] for i in range(s.n)],
-        hints=lambda s, k: [[i for i, x in enumerate(s.elements())
-                             if sum(x) % 2 == 0]] if k == 1 else [],
+            lambda d, i=i: np.where(np.arange(s.n) == i, s.m - 1 - d, d) for i in range(s.n)],
         field_metric=False),
     "projective": MetricKind(
         build=_build_projective,
@@ -258,8 +211,7 @@ KINDS: dict[str, MetricKind] = {
         classical={"singleton": lambda s, d: cb.singleton_phase_rotation(
             s.field.q, s.n, d)},
         params=lambda s: {"n": s.n, "q": s.field.q},
-        coordinate_maps=_adjacent_swaps,
-        hints=lambda s, k: _functional_kernels(s) if k == 1 else []),
+        coordinate_maps=_adjacent_swaps),
     "block": MetricKind(
         build=_build_block,
         spectrum=_cayley_spectrum,
@@ -267,8 +219,7 @@ KINDS: dict[str, MetricKind] = {
         classical={"singleton": lambda s, d: cb.singleton_block(s.params, d)},
         params=lambda s: {"n": s.n, "partition": format_partition(s.params.partition),
                           "q": s.field.q},
-        coordinate_maps=_block_maps,
-        hints=_block_hints),
+        coordinate_maps=_block_maps),
     "cyclic-burst": MetricKind(
         build=lambda p: mt.CyclicBurstSpace(mt.CyclicBurstParams(
             field_for(int(p("q"))), int(p("n")), int(p("b")))),
@@ -277,7 +228,7 @@ KINDS: dict[str, MetricKind] = {
         classical={"singleton": lambda s, d: cb.singleton_cyclic_burst(
             s.n, s.field.q, s.params.b, d)},
         params=lambda s: {"n": s.n, "b": s.params.b, "q": s.field.q},
-        coordinate_maps=lambda s: [lambda c: c[1:] + c[:1], lambda c: tuple(reversed(c))]),
+        coordinate_maps=lambda s: [lambda d: np.roll(d, -1, axis=1), lambda d: d[:, ::-1]]),
     "varshamov": MetricKind(
         build=lambda p: mt.VarshamovSpace(int(p("n"))),
         spectrum=_graph_spectrum,
@@ -315,41 +266,34 @@ def spectrum_for(space: mt.MetricSpace, graph: Optional[gr.Graph] = None) -> Spe
 
 def alpha_hints(space: mt.MetricSpace, k: int,
                 target: Optional[int] = None) -> list[list[int]]:
-    """Candidate code constructions used only as initial incumbents.
-
-    With a `target` (a proven bound on alpha_k), a field metric whose
-    constructions all fall short of it also gets a linear code.  Each hint
-    is validated by direct adjacency check inside the solver; they never
-    replace the branch-and-bound optimality proof.
+    """Initial incumbents for the exact oracle: with a `target` (a proven
+    bound on alpha_k), a field metric gets the linear code that
+    `linear_code_hint` finds, if any.  The solver validates each hint by a
+    direct adjacency check; hints never replace the branch-and-bound
+    optimality proof.
     """
-    kind = kind_of(space)
-    hints = kind.hints(space, k)
-    if target is not None and kind.field_metric and max(map(len, hints), default=0) < target:
-        code = linear_code_hint(space, k, target)
-        if code:
-            hints = hints + [code]
-    return hints
+    if target is None or not kind_of(space).field_metric:
+        return []
+    code = linear_code_hint(space, k, target)
+    return [code] if code else []
 
 
 def automorphism_generators(space: mt.MetricSpace) -> list[list[int]]:
     """Vertex permutations that are metric symmetries by construction:
     translations and scalar maps for the field metrics, then the metric's
-    coordinate isometries.
+    coordinate isometries, all as index arithmetic on `space.digits()`.
 
     The oracle re-validates every permutation against the adjacency matrix
     and silently drops anything that fails, so this list only needs to be
     honest, not proven.
     """
-    labels = space.elements()
-    index = {x: i for i, x in enumerate(labels)}
     kind = kind_of(space)
-    maps = kind.coordinate_maps(space)
     gens = []
-    if kind.field_metric:  # index arithmetic (see `metrics`), no per-vertex field operations
+    if kind.field_metric:
         gens = (space.translations().T.tolist()
                 + [space.scaling(c).tolist() for c in space.field.nonzero() if c != 1])
-        maps = [lambda x, fn=fn: FieldVector(x.field, fn(x.coords)) for fn in maps]
-    return gens + [[index[fn(x)] for x in labels] for fn in maps]
+    radix, digits = space.digits()
+    return gens + [(fn(digits) @ radix).tolist() for fn in kind.coordinate_maps(space)]
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +323,8 @@ def available_bounds(space: mt.MetricSpace) -> list[str]:
 def inertia_bound(space: mt.MetricSpace, graph: Optional[gr.Graph], spectrum: Spectrum,
                   k: int, **kw) -> sb.BoundReport:
     """The inertia search the metric supports: walk-regular graphs need only
-    the spectrum (graph may be None), the others a per-vertex search."""
+    the spectrum (graph may be None), the others one program over the
+    graph's diagonal classes."""
     if kind_of(space).walk_regular:
         return sb.inertia_milp_walkreg(spectrum, k, **kw)
     return sb.inertia_milp(graph, spectrum, k, **kw)
@@ -413,7 +358,7 @@ def compute_row(space: mt.MetricSpace, k: int, bounds: list[str],
     def need_spectrum():
         nonlocal spectrum
         if spectrum is None:
-            # the eigensolver route and the per-vertex inertia search share the graph
+            # the eigensolver route and the diagonal-class inertia search share the graph
             spectrum = spectrum_for(space, None if kind.walk_regular else need_graph())
         return spectrum
 

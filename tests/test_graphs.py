@@ -153,6 +153,94 @@ def test_automorphism_generators_are_automorphisms(metric, params):
         assert gr._is_automorphism(g, gen)
 
 
+def test_oracle_inputs_never_enumerate_elements(monkeypatch):
+    """Generators, hints and whole table rows work on vertex indices: no
+    space builds its `elements()` list on the way to alpha."""
+    def forbidden(self):
+        raise AssertionError("elements() enumerated")
+    for cls in (mt.MetricSpace, mt._FieldMetricSpace, mt.CityBlockSpace, mt.VarshamovSpace):
+        monkeypatch.setattr(cls, "elements", forbidden)
+    for metric, params in ONE_SPACE_PER_METRIC:
+        assert tables.automorphism_generators(tables.make_space(metric, **params))
+    for metric, params, k, alpha in [("phase-rotation", {"q": 3, "n": 5}, 2, "11"),
+                                     ("block", {"q": 3, "partition": "1,2|3,4|5,6"}, 1, "81")]:
+        space = tables.make_space(metric, **params)
+        assert tables.compute_row(space, k, tables.available_bounds(space)).cell("alpha") == alpha
+
+
+def _swap(*pairs):
+    def fn(c):
+        c = list(c)
+        for a, b in pairs:
+            c[a], c[b] = c[b], c[a]
+        return tuple(c)
+    return fn
+
+
+def _reference_coordinate_maps(space) -> list:
+    """Each metric's coordinate isometries as maps of coordinate tuples."""
+    adjacent = [_swap((i, i + 1)) for i in range(space.n - 1)]
+    if space.name == mt.CITY_BLOCK:
+        return adjacent + [lambda x, i=i: x[:i] + (space.m - 1 - x[i],) + x[i + 1:]
+                           for i in range(space.n)]
+    if space.name == mt.BLOCK:
+        partition = space.params.partition
+        return ([_swap((blk[0] - 1, blk[1] - 1)) for blk in partition if len(blk) >= 2]
+                + [_swap(*zip((p - 1 for p in b1), (p - 1 for p in b2)))
+                   for b1, b2 in zip(partition, partition[1:]) if len(b1) == len(b2)])
+    if space.name == mt.CYCLIC_BURST:
+        return [lambda c: c[1:] + c[:1], lambda c: tuple(reversed(c))]
+    return [] if space.name == mt.PROJECTIVE else adjacent
+
+
+def _label_walk_generators(space) -> list[list[int]]:
+    """Reference for `tables.automorphism_generators`: every element is
+    mapped as a tuple or a FieldVector and looked up in a label -> index
+    dict; translations and scalings use field arithmetic."""
+    labels = space.elements()
+    index = {x: i for i, x in enumerate(labels)}
+    maps = _reference_coordinate_maps(space)
+    gens = []
+    if isinstance(space, mt._FieldMetricSpace):
+        gens = ([[index[x + s] for x in labels] for s in space.unit_sphere()]
+                + [[index[x.scale(c)] for x in labels]
+                   for c in space.field.nonzero() if c != 1])
+        maps = [lambda x, fn=fn: FieldVector(x.field, fn(x.coords)) for fn in maps]
+    return gens + [[index[fn(x)] for x in labels] for fn in maps]
+
+
+def _table_spaces():
+    seen = set()
+    for table_id, metric in tables.TABLE_METRIC.items():
+        for row in tables.load_fixture(table_id):
+            space = tables.make_space(metric, **row)
+            key = (metric, tuple(sorted(tables.kind_of(space).params(space).items())))
+            if key not in seen:
+                seen.add(key)
+                yield space
+
+
+def _criterion_9_spaces(count):
+    for idx, (space, rng) in enumerate(_random_instances()):
+        if idx == count:
+            break
+        dist = gr.all_pairs_graph_distance(gr.build_distance_graph(space))
+        diam = int(dist[dist < gr.UNREACHABLE].max(initial=1))
+        rng.randrange(1, min(3, max(1, diam)) + 1)  # draw k as criterion 9 does: same draws
+        yield space
+
+
+@pytest.mark.parametrize("spaces", [
+    lambda: (tables.make_space(m, **p) for m, p in ONE_SPACE_PER_METRIC),
+    _table_spaces,
+    lambda: _criterion_9_spaces(100),
+], ids=["one-per-metric", "table-rows", "criterion-9-draws"])
+def test_automorphism_generators_equal_label_walk(spaces):
+    for space in spaces():
+        assert tables.automorphism_generators(space) == _label_walk_generators(space), \
+            (space.name, tables.kind_of(space).params(space))
+
+
 def test_walk_regularity():
     g = gr.build_distance_graph(pr_space(3, 2))
     assert gr.is_k_partially_walk_regular(g, 6)  # vertex-transitive Cayley graph

@@ -1,13 +1,17 @@
-"""The benchmark tracer's layer table names functions that exist.
+"""The benchmark still runs against the library.
 
 `perfbench/tracing.py` wraps each (module, attribute) in `LAYERS` with
 `getattr`, so a renamed or deleted library function would break a traced
-benchmark run; this test reads that table and imports nothing else from
-`perfbench/`.
+benchmark run; the first test reads that table and imports nothing else
+from `perfbench/`.  The benchmark also calls library functions directly
+(`tables.alpha_hints(space, k)`, `tables.automorphism_generators(space)`),
+so the second runs `perfbench/selftest.py` as a script.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -23,3 +27,10 @@ def test_tracer_layers_resolve_to_callables():
     for name, module_path, attr in sites:
         owner = importlib.import_module(module_path)
         assert callable(getattr(owner, attr, None)), f"{name}: {module_path}.{attr}"
+
+
+def test_perfbench_selftest_passes():
+    """Two traced runs of a table and sweep subset, from the repository root."""
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=TRACING.parents[1],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

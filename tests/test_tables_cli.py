@@ -1,6 +1,7 @@
 """The bench layer (row computation, fixtures) and the CLI surface."""
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from eigenbounds import cli, graphs as gr, tables
+from eigenbounds.algebra import FieldVector
 from eigenbounds.errors import FixtureNotFound
 from eigenbounds.spectra import Spectrum
 
@@ -196,6 +198,65 @@ def test_linear_code_hints():
     assert (row.cell("alpha"), row.certified_by, row.oracle.nodes) == ("25", "ratio", 0)
 
 
+def _loop_linear_code_hint(space, k, target):
+    """Reference for `tables.linear_code_hint`: one candidate matrix at a
+    time, each codeword built by field arithmetic and weighed by
+    `space.weight` until the first light one."""
+    f, n = space.field, space.n
+    q, add, mul = f.q, f.add_table, f.mul_table
+    weights = {}
+
+    def heavy(word):
+        if word not in weights:
+            weights[word] = space.weight(FieldVector(f, word))
+        return weights[word] > k
+
+    def index(word):  # position in the lexicographic enumeration
+        i = 0
+        for c in word:
+            i = i * q + c
+        return i
+
+    top = 0
+    while top < n and q ** (top + 1) <= target:
+        top += 1
+    tried = 0
+    for r in range(top, 0, -1):
+        coefficients = [c for c in itertools.product(range(q), repeat=r) if any(c)]
+        for entries in itertools.product(range(q), repeat=r * (n - r)):
+            if tried == tables.LINEAR_CODE_CANDIDATES:
+                return []
+            tried += 1
+            rows = [entries[i * (n - r):(i + 1) * (n - r)] for i in range(r)]
+            words = []
+            for c in coefficients:
+                tail = [0] * (n - r)
+                for ci, row in zip(c, rows):
+                    for j, a in enumerate(row):
+                        tail[j] = add[tail[j]][mul[ci][a]]
+                word = c + tuple(tail)
+                if not heavy(word):
+                    break
+                words.append(word)
+            else:
+                return sorted([0] + [index(w) for w in words])
+    return []
+
+
+def test_linear_code_hint_equals_loop_reference():
+    """On every row of tables 3-5, at the row's alpha, its smallest bound
+    and the ambient size as targets."""
+    for table_id in (3, 4, 5):
+        for row in tables.load_fixture(table_id):
+            space = tables.make_space(tables.TABLE_METRIC[table_id], **row)
+            k = int(row["k"])
+            bound = min(int(row[c]) for c in ("inertia", "ratio", "singleton")
+                        if row[c] != "-")
+            for target in (int(row["alpha"]), bound, space.ambient_size):
+                assert tables.linear_code_hint(space, k, target) == \
+                    _loop_linear_code_hint(space, k, target), (table_id, row, target)
+
+
 def test_cli_spectrum_exact_and_check():
     code, text = run_cli(["spectrum", "phase-rotation", "--q", "3", "--n", "2",
                           "--check"])
@@ -206,6 +267,20 @@ def test_cli_spectrum_exact_and_check():
                           "--format", "json"])
     assert json.loads(text) == {"distinct": [4, 0, -4], "mults": [1, 6, 1],
                                 "exact": True}
+
+
+def test_cli_spectrum_formats(capsys):
+    """`spectrum` renders markdown and JSON only: `--format csv` is a usage
+    error rather than the markdown text under another name."""
+    argv = ["spectrum", "phase-rotation", "--q", "3", "--n", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
+    assert run_cli(argv + ["--format", "markdown"]) == (0, "{6:1, 0:6, -3:2}\n")
+    code, text = run_cli(argv + ["--format", "json"])
+    assert code == 0
+    assert json.loads(text) == {"distinct": [6, 0, -3], "mults": [1, 6, 2], "exact": True}
 
 
 def test_cli_spectrum_check_mismatch_fails(monkeypatch):
