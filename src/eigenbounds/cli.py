@@ -35,8 +35,7 @@ def _add_metric_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--subspaces")
 
 
-def _render_row(row: tables.RowResult, columns: list[str], fmt: str,
-                out) -> None:
+def _render_row(row: tables.RowResult, columns: list[str], fmt: str) -> None:
     header = ["metric", "params", "k", "d"] + columns
     cells = [row.metric,
              " ".join(f"{k}={v}" for k, v in row.params.items()),
@@ -45,18 +44,17 @@ def _render_row(row: tables.RowResult, columns: list[str], fmt: str,
         payload = {"metric": row.metric, "params": row.params,
                    "k": row.k, "d": row.k + 1,
                    "bounds": {c: row.cell(c) for c in columns}}
-        out.write(json.dumps(payload) + "\n")
+        print(json.dumps(payload))
     elif fmt == "csv":
-        out.write(",".join(header) + "\n")
-        out.write(",".join('"%s"' % c if "," in c else c for c in cells) + "\n")
+        print(",".join(header))
+        print(",".join('"%s"' % c if "," in c else c for c in cells))
     else:
-        out.write("| " + " | ".join(header) + " |\n")
-        out.write("|" + "|".join("---" for _ in header) + "|\n")
-        out.write("| " + " | ".join(cells) + " |\n")
+        print("| " + " | ".join(header) + " |")
+        print("|" + "|".join("---" for _ in header) + "|")
+        print("| " + " | ".join(cells) + " |")
 
 
-def cmd_bound(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_bound(args) -> int:
     if (args.k is None) == (args.d is None):
         raise EigenboundsError("supply exactly one of --k or --d (d = k+1)")
     k = args.k if args.k is not None else args.d - 1
@@ -67,12 +65,11 @@ def cmd_bound(args, out=None) -> int:
     space = tables.make_space(**vars(args))
     names = args.bounds.split(",") if args.bounds else tables.available_bounds(space)
     row = tables.compute_row(space, k, names, max_nodes=args.max_nodes)
-    _render_row(row, names + ["alpha"], args.format, out)
+    _render_row(row, names + ["alpha"], args.format)
     return 0
 
 
-def cmd_spectrum(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_spectrum(args) -> int:
     space = tables.make_space(**vars(args))
     spectrum = tables.spectrum_for(space)
     if args.check:
@@ -85,28 +82,26 @@ def cmd_spectrum(args, out=None) -> int:
             raise NumericalInconsistency(
                 "closed-form and eigensolver spectra disagree")
     if args.format == "json":
-        out.write(spectrum.as_json() + "\n")
+        print(spectrum.as_json())
     else:
         pairs = ", ".join(f"{t if spectrum.exact else round(float(t), 10)}:{m}"
                           for t, m in zip(spectrum.distinct, spectrum.mults))
-        out.write("{" + pairs + "}\n")
+        print("{" + pairs + "}")
     return 0
 
 
-def cmd_verify(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    ok = tables.verify_table(args.table, report=lambda line: out.write(line + "\n"))
-    out.write(("PASS" if ok else "FAIL") + f" table {args.table}\n")
+def cmd_verify(args) -> int:
+    ok = tables.verify_table(args.table, report=print)
+    print(("PASS" if ok else "FAIL") + f" table {args.table}")
     return 0 if ok else 1
 
 
-def cmd_export_graph(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_export_graph(args) -> int:
     space = tables.make_space(**vars(args))
     text = gr.export_edge_list(gr.build_distance_graph(space))
     with open(args.out, "w") as fh:
         fh.write(text)
-    out.write(f"wrote {args.out}\n")
+    print(f"wrote {args.out}")
     return 0
 
 

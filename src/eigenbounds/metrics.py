@@ -49,18 +49,6 @@ VARSHAMOV = "varshamov"
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CityBlockParams:
-    m: int  # alphabet size, entries 0..m-1
-    n: int
-
-    def __post_init__(self):
-        if self.m < 3:
-            raise InvalidElement("city block requires m >= 3 (m=2 is the Hamming metric)")
-        if self.n < 1:
-            raise InvalidElement("n >= 1 required")
-
-
-@dataclass(frozen=True)
 class ProjectiveParams:
     """A set F of one-dimensional subspaces given by spanning vectors."""
 
@@ -145,15 +133,6 @@ class CyclicBurstParams:
         object.__setattr__(self, "windows", tuple(wins))
 
 
-@dataclass(frozen=True)
-class VarshamovParams:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidElement("n >= 1 required")
-
-
 # ----------------------------------------------------------------------
 # Distance functions (module-level operations)
 # ----------------------------------------------------------------------
@@ -197,22 +176,9 @@ def phase_rotation_weight(v: FieldVector, params: PhaseRotationParams) -> int:
     return best
 
 
-def phase_rotation_distance(x: FieldVector, y: FieldVector,
-                            params: PhaseRotationParams) -> int:
-    if x.field != y.field or len(x) != len(y):
-        raise DimensionMismatch("vector mismatch")
-    return phase_rotation_weight(x - y, params)
-
-
 def block_weight(v: FieldVector, params: BlockParams) -> int:
     supp = set(v.support())
     return sum(1 for blk in params.partition if supp.intersection(blk))
-
-
-def block_distance(x: FieldVector, y: FieldVector, params: BlockParams) -> int:
-    if x.field != y.field or len(x) != len(y):
-        raise DimensionMismatch("vector mismatch")
-    return block_weight(x - y, params)
 
 
 def cyclic_burst_weight(v: FieldVector, params: CyclicBurstParams) -> int:
@@ -227,13 +193,6 @@ def cyclic_burst_weight(v: FieldVector, params: CyclicBurstParams) -> int:
             if supp <= frozenset().union(*combo):
                 return size
     raise InternalError("windows cover [n], so a cover always exists")  # pragma: no cover
-
-
-def cyclic_burst_distance(x: FieldVector, y: FieldVector,
-                          params: CyclicBurstParams) -> int:
-    if x.field != y.field or len(x) != len(y):
-        raise DimensionMismatch("vector mismatch")
-    return cyclic_burst_weight(x - y, params)
 
 
 def varshamov_distance(x: Sequence[int], y: Sequence[int]) -> int:
@@ -257,8 +216,8 @@ def varshamov_distance(x: Sequence[int], y: Sequence[int]) -> int:
 # ----------------------------------------------------------------------
 
 class MetricSpace:
-    """Common surface: name, params, ambient_size, elements, distance,
-    adjacency, digits."""
+    """Common surface: name, ambient_size, elements, distance, adjacency,
+    digits."""
 
     name: str
     ambient_size: int
@@ -344,7 +303,7 @@ class _FieldMetricSpace(MetricSpace):
 
     def unit_sphere(self) -> tuple[FieldVector, ...]:
         """All weight-1 difference vectors; subclasses compute them once in
-        `__init__`, in the order orbit branching relies on."""
+        `__init__`."""
         return self._unit_sphere
 
     def translations(self) -> np.ndarray:
@@ -373,7 +332,10 @@ class CityBlockSpace(MetricSpace):
     name = CITY_BLOCK
 
     def __init__(self, m: int, n: int):
-        self.params = CityBlockParams(m, n)
+        if m < 3:
+            raise InvalidElement("city block requires m >= 3 (m=2 is the Hamming metric)")
+        if n < 1:
+            raise InvalidElement("n >= 1 required")
         self.m, self.n = m, n
         self.base = m
         self.ambient_size = m**n
@@ -446,7 +408,8 @@ class VarshamovSpace(MetricSpace):
     name = VARSHAMOV
 
     def __init__(self, n: int):
-        self.params = VarshamovParams(n)
+        if n < 1:
+            raise InvalidElement("n >= 1 required")
         self.n = n
         self.base = 2
         self.ambient_size = 2**n

@@ -88,9 +88,9 @@ def group_multiplicities(eigs: Sequence[float], tol: float = EIGENSOLVER_GROUP_T
     return Spectrum(distinct, mults, exact=False)
 
 
-def spectrum_of_graph(g, tol: float = EIGENSOLVER_GROUP_TOL) -> Spectrum:
+def spectrum_of_graph(g) -> Spectrum:
     """Numeric spectrum of a Graph's adjacency matrix."""
-    return group_multiplicities(eigs_symmetric(g.adjacency), tol=tol)
+    return group_multiplicities(eigs_symmetric(g.adjacency))
 
 
 def city_block_spectrum(m: int, n: int) -> Spectrum:

@@ -50,6 +50,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+# minimize_over_binaries is looked up on the module at call time, so a
+# wrapper installed there sees every search
+from . import lp_kernel
 from .algebra import Polynomial, poly_eval
 from .errors import (
     AssumptionViolated,
@@ -272,15 +275,6 @@ def _float_verify(spectrum: Spectrum, coeffs: Sequence[Fraction], b: tuple) -> N
                 f"rationalized MILP winner fails float re-check at theta={theta}")
 
 
-def _best_first_milp(spectrum: Spectrum, oracle: _PatternOracle,
-                     max_nodes: int) -> tuple[int, tuple]:
-    """(weight, pattern) of the exact optimum by best-first pattern search;
-    `max_nodes` caps the patterns tried."""
-    from .lp_kernel import minimize_over_binaries
-
-    return minimize_over_binaries(spectrum.mults, oracle, max_nodes=max_nodes)
-
-
 def _quiet_milp(*args, **kwargs):
     """scipy.optimize.milp with file descriptor 1 on the null device: HiGHS's
     MIP solver writes to it even with disp=False.  scipy warns about every
@@ -358,12 +352,12 @@ def _inertia_search(spectrum: Spectrum, base_rows: list, eig_table: list,
     """
     oracle = _PatternOracle(base_rows, eig_table)
     if spectrum.exact:
-        weight, b = _best_first_milp(spectrum, oracle, max_nodes)
+        weight, b = lp_kernel.minimize_over_binaries(spectrum.mults, oracle, max_nodes)
         return weight, {"pattern": b, "polynomial": oracle.last_solution}
     weight, b = _propose_pattern(spectrum, oracle, max_nodes)
     found = oracle.min_norm_witness(b)
     if found is None:
-        weight, b = _best_first_milp(spectrum, oracle, max_nodes)
+        weight, b = lp_kernel.minimize_over_binaries(spectrum.mults, oracle, max_nodes)
         found = oracle.min_norm_witness(b)
     coeffs, confirmed_by = found
     _float_verify(spectrum, coeffs, b)

@@ -143,17 +143,16 @@ class MetricKind:
 
     build: Callable  # (lookup of a flat CLI parameter) -> space
     spectrum: Callable  # (space, graph or None) -> its best spectrum route
-    # a walk-regular graph: the inertia search needs only the spectrum, and
-    # the ratio bound applies
-    walk_regular: bool
     # bound name -> (space, d) -> value; None or NotApplicable where it does not apply
     classical: dict[str, Callable]
     params: Callable  # space -> the `params` dict of a row
     # space -> isometries, each mapping the V x n digit array of
     # `MetricSpace.digits` to the digits of the image vertices
     coordinate_maps: Callable = lambda space: []
-    # a translation-invariant weight metric on GF(q)^n: translations and
-    # scalings are automorphisms, and linear codes are the oracle's incumbents
+    # a translation-invariant weight metric on GF(q)^n, so a Cayley graph: it
+    # is walk-regular (the inertia search needs only the spectrum, and the
+    # ratio bound applies), translations and scalings are automorphisms, and
+    # linear codes are the oracle's incumbents
     field_metric: bool = True
 
 
@@ -190,7 +189,6 @@ KINDS: dict[str, MetricKind] = {
     "city-block": MetricKind(
         build=lambda p: mt.CityBlockSpace(int(p("m")), int(p("n"))),
         spectrum=lambda s, g: city_block_spectrum(s.m, s.n),
-        walk_regular=False,
         classical={"plotkin": lambda s, d: _floor(cb.plotkin_city_block(s.m, s.n, d)),
                    "hamming": lambda s, d: cb.hamming_city_block(s.m, s.n, d)},
         params=lambda s: {"m": s.m, "n": s.n},
@@ -200,14 +198,12 @@ KINDS: dict[str, MetricKind] = {
     "projective": MetricKind(
         build=_build_projective,
         spectrum=_cayley_spectrum,
-        walk_regular=True,
         classical={"singleton": lambda s, d: cb.singleton_projective(s.params, d)},
         params=lambda s: {"n": s.n, "q": s.field.q, "subspaces": ";".join(
             ",".join(str(c) for c in v.coords) for v in s.params.spanning_vectors)}),
     "phase-rotation": MetricKind(
         build=lambda p: mt.PhaseRotationSpace(field_for(int(p("q"))), int(p("n"))),
         spectrum=lambda s, g: phase_rotation_spectrum(s.field.q, s.n),
-        walk_regular=True,
         classical={"singleton": lambda s, d: cb.singleton_phase_rotation(
             s.field.q, s.n, d)},
         params=lambda s: {"n": s.n, "q": s.field.q},
@@ -215,7 +211,6 @@ KINDS: dict[str, MetricKind] = {
     "block": MetricKind(
         build=_build_block,
         spectrum=_cayley_spectrum,
-        walk_regular=True,
         classical={"singleton": lambda s, d: cb.singleton_block(s.params, d)},
         params=lambda s: {"n": s.n, "partition": format_partition(s.params.partition),
                           "q": s.field.q},
@@ -224,7 +219,6 @@ KINDS: dict[str, MetricKind] = {
         build=lambda p: mt.CyclicBurstSpace(mt.CyclicBurstParams(
             field_for(int(p("q"))), int(p("n")), int(p("b")))),
         spectrum=_cayley_spectrum,
-        walk_regular=True,
         classical={"singleton": lambda s, d: cb.singleton_cyclic_burst(
             s.n, s.field.q, s.params.b, d)},
         params=lambda s: {"n": s.n, "b": s.params.b, "q": s.field.q},
@@ -232,7 +226,6 @@ KINDS: dict[str, MetricKind] = {
     "varshamov": MetricKind(
         build=lambda p: mt.VarshamovSpace(int(p("n"))),
         spectrum=_graph_spectrum,
-        walk_regular=False,
         classical={"varshamov": lambda s, d: math.floor(cb.varshamov_bound(s.n, d))},
         params=lambda s: {"n": s.n},
         coordinate_maps=_adjacent_swaps,
@@ -317,15 +310,15 @@ class RowResult:
 
 def available_bounds(space: mt.MetricSpace) -> list[str]:
     kind = kind_of(space)
-    return ["inertia"] + ["ratio"] * kind.walk_regular + list(kind.classical)
+    return ["inertia"] + ["ratio"] * kind.field_metric + list(kind.classical)
 
 
 def inertia_bound(space: mt.MetricSpace, graph: Optional[gr.Graph], spectrum: Spectrum,
                   k: int, **kw) -> sb.BoundReport:
-    """The inertia search the metric supports: walk-regular graphs need only
-    the spectrum (graph may be None), the others one program over the
-    graph's diagonal classes."""
-    if kind_of(space).walk_regular:
+    """The inertia search the metric supports: a field metric's walk-regular
+    graph needs only the spectrum (graph may be None), the others one
+    program over the graph's diagonal classes."""
+    if kind_of(space).field_metric:
         return sb.inertia_milp_walkreg(spectrum, k, **kw)
     return sb.inertia_milp(graph, spectrum, k, **kw)
 
@@ -359,7 +352,7 @@ def compute_row(space: mt.MetricSpace, k: int, bounds: list[str],
         nonlocal spectrum
         if spectrum is None:
             # the eigensolver route and the diagonal-class inertia search share the graph
-            spectrum = spectrum_for(space, None if kind.walk_regular else need_graph())
+            spectrum = spectrum_for(space, None if kind.field_metric else need_graph())
         return spectrum
 
     proven: dict[str, int] = {}  # bound name -> floored value; a float spectrum proves nothing

@@ -292,8 +292,7 @@ def test_criterion_9_randomized_soundness():
         k = rng.randrange(1, min(3, max(1, diam)) + 1)
         d = k + 1
         oracle = gr.k_independence_number(
-            g, k, max_nodes=20_000, initial=tables.alpha_hints(space, k),
-            automorphism_generators=tables.automorphism_generators(space))
+            g, k, max_nodes=20_000, automorphism_generators=tables.automorphism_generators(space))
         if not oracle.exact:
             # a handful of random instances are out of the exact oracle's
             # reach at this budget; soundness needs exact alpha, so redraw.
@@ -314,7 +313,7 @@ def test_criterion_9_randomized_soundness():
             bounds["inertia"] = sb.inertia_type_bound(
                 g, spec, Polynomial.from_list([0, 1]), k).floored
         kind = tables.kind_of(space)
-        if kind.walk_regular:
+        if kind.field_metric:
             bounds["ratio"] = sb.minor_polynomial_lp(spec, k).floored
         for name, bound in kind.classical.items():
             try:

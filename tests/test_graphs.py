@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from eigenbounds.algebra import FieldVector, make_field
-from eigenbounds.errors import Disconnected, InternalError
+from eigenbounds.errors import Disconnected, DimensionMismatch, InternalError
 from eigenbounds import graphs as gr
 from eigenbounds import metrics as mt
 from eigenbounds import tables
@@ -140,6 +140,25 @@ ONE_SPACE_PER_METRIC = [
     ("cyclic-burst", {"q": 2, "n": 6, "b": 3}),
     ("varshamov", {"n": 6}),
 ]
+
+
+def test_field_metric_distance_rejects_mismatched_vectors():
+    """`distance` is weight(x - y); the subtraction rejects a vector of
+    another length or over another field, in either argument."""
+    checked = 0
+    for metric, params in ONE_SPACE_PER_METRIC:
+        space = tables.make_space(metric, **params)
+        if not tables.kind_of(space).field_metric:
+            continue
+        x = FieldVector(space.field, (0,) * space.n)
+        shorter = FieldVector(space.field, (0,) * (space.n - 1))
+        foreign = FieldVector(make_field(3 if space.field.q == 2 else 2), (0,) * space.n)
+        for y in (shorter, foreign):
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(DimensionMismatch):
+                    space.distance(a, b)
+        checked += 1
+    assert checked == 4
 
 
 @pytest.mark.parametrize("metric, params", ONE_SPACE_PER_METRIC,

@@ -24,11 +24,8 @@ from eigenbounds.metrics import (
     ProjectiveParams,
     ProjectiveSpace,
     VarshamovSpace,
-    block_distance,
     city_block_distance,
-    cyclic_burst_distance,
     enumerate_ambient,
-    phase_rotation_distance,
     projective_weight,
     varshamov_distance,
 )
@@ -84,6 +81,13 @@ def test_city_block_constructor_rejects_m2():
         CityBlockSpace(2, 3)
 
 
+def test_constructors_reject_n0():
+    with pytest.raises(InvalidElement):
+        CityBlockSpace(3, 0)
+    with pytest.raises(InvalidElement):
+        VarshamovSpace(0)
+
+
 def test_city_block_m2_formula_equals_hamming():
     # the raw formula at m=2 is the Hamming distance (constructor rejects m=2,
     # the formula itself is checked here)
@@ -115,13 +119,12 @@ def test_projective_params_validation():
 
 
 def test_phase_rotation_distance_examples():
-    params = PhaseRotationParams(F2, 4)
+    space = PhaseRotationSpace(F2, 4)
     x = FieldVector(F2, (0, 0, 0, 0))
-    assert phase_rotation_distance(x, x, params) == 0
-    assert phase_rotation_distance(x, FieldVector(F2, (1, 1, 0, 1)), params) == 2
-    p3 = PhaseRotationParams(F3, 2)
-    assert phase_rotation_distance(FieldVector(F3, (0, 0)),
-                                   FieldVector(F3, (1, 2)), p3) == 2
+    assert space.distance(x, x) == 0
+    assert space.distance(x, FieldVector(F2, (1, 1, 0, 1))) == 2
+    assert PhaseRotationSpace(F3, 2).distance(FieldVector(F3, (0, 0)),
+                                              FieldVector(F3, (1, 2))) == 2
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (2, 8), (3, 4), (4, 3)])
@@ -140,11 +143,11 @@ def test_phase_rotation_fast_path_matches_subset_search(q, n):
 # ----------------------------------------------------------------------
 
 def test_block_distance_examples():
-    params = BlockParams(F2, 4, ((1, 2), (3, 4)))
+    space = BlockSpace(BlockParams(F2, 4, ((1, 2), (3, 4))))
     x0 = FieldVector(F2, (0, 0, 0, 0))
-    assert block_distance(x0, x0, params) == 0
-    assert block_distance(x0, FieldVector(F2, (0, 1, 1, 0)), params) == 2
-    assert block_distance(x0, FieldVector(F2, (1, 1, 0, 0)), params) == 1
+    assert space.distance(x0, x0) == 0
+    assert space.distance(x0, FieldVector(F2, (0, 1, 1, 0))) == 2
+    assert space.distance(x0, FieldVector(F2, (1, 1, 0, 0))) == 1
 
 
 def test_block_params_sorted_and_validated():
@@ -159,13 +162,13 @@ def test_block_params_sorted_and_validated():
 def test_block_singletons_equal_hamming():
     for q, n in [(2, 4), (2, 8), (3, 4), (4, 3)]:
         f = {2: F2, 3: F3, 4: F4}[q]
-        params = BlockParams(f, n, tuple((i,) for i in range(1, n + 1)))
+        space = BlockSpace(BlockParams(f, n, tuple((i,) for i in range(1, n + 1))))
         for _ in range(200):
             rng = random.Random(q * 100 + n)
             x = FieldVector(f, tuple(rng.randrange(q) for _ in range(n)))
             y = FieldVector(f, tuple(rng.randrange(q) for _ in range(n)))
             hamming = sum(a != b for a, b in zip(x.coords, y.coords))
-            assert block_distance(x, y, params) == hamming
+            assert space.distance(x, y) == hamming
 
 
 # ----------------------------------------------------------------------
@@ -181,14 +184,14 @@ def test_cyclic_burst_windows():
 
 
 def test_cyclic_burst_distance_examples():
-    params = CyclicBurstParams(F2, 5, 3)
+    space = CyclicBurstSpace(CyclicBurstParams(F2, 5, 3))
     x0 = FieldVector(F2, (0,) * 5)
-    assert cyclic_burst_distance(x0, x0, params) == 0
-    assert cyclic_burst_distance(x0, FieldVector(F2, (1, 0, 1, 0, 0)), params) == 1
+    assert space.distance(x0, x0) == 0
+    assert space.distance(x0, FieldVector(F2, (1, 0, 1, 0, 0))) == 1
     # supp {1,4} fits in the wrap-around window {4,5,1}
-    assert cyclic_burst_distance(x0, FieldVector(F2, (1, 0, 0, 1, 0)), params) == 1
+    assert space.distance(x0, FieldVector(F2, (1, 0, 0, 1, 0))) == 1
     # supp {1,3,5} fits in no single width-3 cyclic window
-    assert cyclic_burst_distance(x0, FieldVector(F2, (1, 0, 1, 0, 1)), params) == 2
+    assert space.distance(x0, FieldVector(F2, (1, 0, 1, 0, 1))) == 2
 
 
 def test_cyclic_burst_requires_valid_b():

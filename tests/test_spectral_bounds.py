@@ -18,6 +18,7 @@ from eigenbounds.errors import (
     TooFewEigenvalues,
 )
 from eigenbounds import graphs as gr
+from eigenbounds import lp_kernel
 from eigenbounds import metrics as mt
 from eigenbounds import spectral_bounds as sb
 from eigenbounds import tables
@@ -127,7 +128,7 @@ def float_instance(metric, **params):
 def exact_search(spectrum, base_rows, eig_table, max_nodes):
     """Reference: best-first search with an exact oracle and no float screen."""
     oracle = sb._PatternOracle(base_rows, eig_table)
-    value, b = sb._best_first_milp(spectrum, oracle, max_nodes)
+    value, b = lp_kernel.minimize_over_binaries(spectrum.mults, oracle, max_nodes)
     return value, {"pattern": b, "polynomial": oracle.last_solution}
 
 
@@ -240,7 +241,7 @@ def test_joint_program_equals_per_class_minimum(metric, params, k, monkeypatch):
 def test_float_milp_rejected_proposal_falls_back_to_exact(monkeypatch):
     g, spec = float_instance("city-block", m=3, n=2)
     calls = []
-    best_first = sb._best_first_milp
+    best_first = lp_kernel.minimize_over_binaries
 
     def infeasible_proposal(spectrum, oracle, max_nodes):
         # p(theta) <= -1 at every eigenvalue contradicts diagonals of p(A) >= 0
@@ -252,7 +253,7 @@ def test_float_milp_rejected_proposal_falls_back_to_exact(monkeypatch):
         return best_first(*args)
 
     monkeypatch.setattr(sb, "_propose_pattern", infeasible_proposal)
-    monkeypatch.setattr(sb, "_best_first_milp", recorded_best_first)
+    monkeypatch.setattr(lp_kernel, "minimize_over_binaries", recorded_best_first)
     rep = sb.inertia_milp(g, spec, 2)
     assert calls == ["proposal", "best-first"]
     assert rep.witness["confirmed_by"] in ("float_basis", "simplex")
