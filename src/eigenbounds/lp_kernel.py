@@ -5,17 +5,23 @@ Farkas row supports, a float-proposed optimum certified in exact
 arithmetic, and the best-first binary enumeration driver used by the
 inertia MILPs.
 
-Every result is exact: programs hold Fractions (the callers rationalize
+Every result is exact: programs hold rationals (the callers rationalize
 any floating-point spectra at fixed 2^40 denominators, see
-spectral_bounds).  `certify_float_optimum` lets HiGHS pick a vertex in
-floating point, but only an exact Gauss-Jordan solve and an exact primal
-and dual check make it a result (Applegate, Cook, Dash & Espinoza, "Exact
-solutions to linear programming problems", Oper. Res. Lett. 2007); when
-a check fails it returns None and the caller runs the exact simplex.
+spectral_bounds).  Each program is scaled once to integers, by the lcm of
+its denominators, and pivoted fraction-free (Edmonds 1967; Bareiss 1968):
+one integer tableau over one common denominator, every division exact.
+The logical tableau, and so every pivot Bland's rule picks, is the one a
+rational tableau would have; Fractions appear only in the results.
+`certify_float_optimum` lets HiGHS pick a vertex in floating point, but
+only an exact Gauss-Jordan solve and an exact primal and dual check make
+it a result (Applegate, Cook, Dash & Espinoza, "Exact solutions to linear
+programming problems", Oper. Res. Lett. 2007); when a check fails it
+returns None and the caller runs the exact simplex.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
@@ -59,74 +65,88 @@ def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class _Tableau:
-    """Dense simplex tableau over Fractions; rows + objective handled apart."""
+def _integral(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """(rows times s, s) for s the lcm of every denominator in the rows.
 
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction]):
+    One common positive factor keeps the ratios between rows, so a simplex
+    on the scaled rows takes the pivots it takes on the rational ones."""
+    scale = math.lcm(*(a.denominator for row in rows for a in row))
+    return [[a.numerator * (scale // a.denominator) for a in row] for row in rows], scale
+
+
+class _Tableau:
+    """Dense fraction-free tableau over ints (Edmonds 1967, Bareiss 1968).
+
+    The logical tableau is rows / d for one common denominator d > 0; each
+    row ends with its right-hand side, and a basic column holds d in its
+    row.  Every stored entry is a minor of the integer program, so each
+    pivot's division by the old d is exact.
+    """
+
+    def __init__(self, rows: list[list[int]]):
         self.rows = rows
-        self.rhs = rhs
+        self.d = 1
         self.basis: list[int] = [-1] * len(rows)
 
     def pivot(self, r: int, c: int) -> None:
-        piv = self.rows[r][c]
-        inv = 1 / piv
-        row = [x * inv for x in self.rows[r]]
-        self.rows[r] = row
-        self.rhs[r] *= inv
-        for i in range(len(self.rows)):
-            if i != r:
-                f = self.rows[i][c]
-                if f:
-                    self.rows[i] = [a - f * b for a, b in zip(self.rows[i], row)]
-                    self.rhs[i] -= f * self.rhs[r]
+        """Pivot on (r, c); every row, a reduced-cost row appended by
+        `_run_simplex` included, becomes (p * row - row[c] * pivot row) / d."""
+        row = self.rows[r]
+        p = row[c]
+        if p < 0:  # keep d positive: negate the pivot row, not the logical one
+            p, row = -p, [-a for a in row]
+        d = self.d
+        rows = self.rows
+        for i, other in enumerate(rows):
+            f = other[c]
+            if i == r:
+                rows[i] = row
+            elif f:
+                rows[i] = [(p * a - f * b) // d for a, b in zip(other, row)]
+            elif p != d:
+                rows[i] = [p * a // d for a in other]
+        self.d = p
         self.basis[r] = c
 
 
-def _run_simplex(tab: _Tableau, cost: list[Fraction],
-                 banned: frozenset = frozenset()) -> tuple[str, Fraction, list[Fraction]]:
+def _run_simplex(tab: _Tableau, cost: list[int],
+                 banned: frozenset = frozenset()) -> tuple[str, list[int]]:
     """Minimize cost over the tableau's feasible region (Bland's rule).
 
-    Returns (status, objective value, reduced costs).  The reduced-cost
-    row is maintained incrementally like any other tableau row.
+    `cost` is the true cost times one positive factor, which leaves every
+    sign, and so every pivot, as it is.  Returns (status, reduced-cost
+    row): entry j is d * rc_j times that factor, the last entry -d * value
+    times it.  The row is kept as one more tableau row while pivoting.
     """
-    m = len(tab.rows)
-    ncols = len(cost)
-    rc = list(cost)
-    value = Fraction(0)  # current objective value sum c_B * rhs
+    m = len(tab.basis)
+    rc = [tab.d * c for c in cost] + [0]
     for i in range(m):
         ci = cost[tab.basis[i]]
         if ci:
-            row = tab.rows[i]
-            for j in range(ncols):
-                if row[j]:
-                    rc[j] -= ci * row[j]
-            value += ci * tab.rhs[i]
-    while True:
-        entering = -1
-        for j in range(ncols):
-            if rc[j] < 0 and j not in banned:
-                entering = j
-                break
-        if entering < 0:
-            return OPTIMAL, value, rc
-        leaving, best = -1, None
-        for i in range(m):
-            a = tab.rows[i][entering]
-            if a > 0:
-                ratio = tab.rhs[i] / a
-                if best is None or ratio < best or (
-                        ratio == best and tab.basis[i] < tab.basis[leaving]):
-                    best, leaving = ratio, i
-        if leaving < 0:
-            return UNBOUNDED, Fraction(0), rc
-        tab.pivot(leaving, entering)
-        f = rc[entering]
-        if f:
-            row = tab.rows[leaving]
-            for j in range(ncols):
-                if row[j]:
-                    rc[j] -= f * row[j]
-            value += f * tab.rhs[leaving]
+            rc = [a - ci * b for a, b in zip(rc, tab.rows[i])]
+    tab.rows.append(rc)
+    try:
+        while True:
+            rc = tab.rows[m]
+            entering = next((j for j in range(len(cost)) if rc[j] < 0 and j not in banned), -1)
+            if entering < 0:
+                return OPTIMAL, rc
+            leaving = -1
+            for i in range(m):
+                a = tab.rows[i][entering]
+                if a > 0:
+                    b = tab.rows[i][-1]
+                    if leaving < 0:
+                        leaving, best_b, best_a = i, b, a
+                        continue
+                    lhs, rhs = b * best_a, best_b * a  # rhs_i / a_i against the best ratio
+                    if lhs < rhs or (lhs == rhs and tab.basis[i] < tab.basis[leaving]):
+                        leaving, best_b, best_a = i, b, a
+            if leaving < 0:
+                return UNBOUNDED, rc
+            tab.pivot(leaving, entering)
+    finally:
+        tab.rows.pop()
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
@@ -135,85 +155,75 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     if nvars > MAX_VARIABLES:
         raise TooLarge(f"{nvars} variables exceeds the {MAX_VARIABLES} guard")
 
-    # slacks, sign-fix, artificials; every row i reads its dual from dual_read[i]
+    # scale to integers, then slacks, sign-fix, artificials (those columns
+    # hold +-1 only); every row i reads its dual from dual_read[i]
     m = len(lp.constraints)
     rels = [rel for _, rel, _ in lp.constraints]
-    rhs = [_fr(b) for _, _, b in lp.constraints]
     total = nvars + sum(rel != EQ for rel in rels) + m  # worst case: artificial on every row
-    rows = []
-    for coeffs, _, _ in lp.constraints:
-        row = [_fr(c) for c in coeffs]
-        if len(row) > nvars:
-            raise DimensionMismatch(f"a row has {len(row)} coefficients for {nvars} variables")
-        rows.append(row + [Fraction(0)] * (total - len(row)))
+    program = []
+    for coeffs, _, b in lp.constraints:
+        if len(coeffs) > nvars:
+            raise DimensionMismatch(f"a row has {len(coeffs)} coefficients for {nvars} variables")
+        program.append([_fr(a) for a in coeffs] + [_fr(b)])
+    rows = [row[:-1] + [0] * (total + 1 - len(row)) + row[-1:] for row in _integral(program)[0]]
     next_col = nvars
     art_cols: list[int] = []
     dual_read: list[tuple[int, int]] = []  # (column, kind 0=slack 1=artificial)
-    tab = _Tableau(rows, rhs)
-    for i in range(m):
-        if rels[i] == LE:
-            rows[i][next_col] = Fraction(1)
+    tab = _Tableau(rows)
+    for i, row in enumerate(rows):
+        s_col = -1
+        if rels[i] != EQ:
+            row[next_col] = 1 if rels[i] == LE else -1
             s_col = next_col
             next_col += 1
-        elif rels[i] == GE:
-            rows[i][next_col] = Fraction(-1)
-            s_col = next_col
-            next_col += 1
-        else:
-            s_col = -1
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-        if s_col >= 0 and rows[i][s_col] == 1:
+        if row[-1] < 0:
+            row[:] = [-a for a in row]
+        if s_col >= 0 and row[s_col] == 1:
             tab.basis[i] = s_col
             dual_read.append((s_col, 0))
         else:
-            rows[i][next_col] = Fraction(1)
+            row[next_col] = 1
             art_cols.append(next_col)
             tab.basis[i] = next_col
             dual_read.append((next_col, 1))
             next_col += 1
     used = next_col
-    for i in range(m):
-        rows[i] = rows[i][:used]
+    tab.rows = [row[:used] + row[-1:] for row in rows]
 
     art_set = set(art_cols)
     if art_set:
-        phase1 = [Fraction(1) if j in art_set else Fraction(0) for j in range(used)]
-        status, value, rc = _run_simplex(tab, phase1)
+        status, rc = _run_simplex(tab, [int(j in art_set) for j in range(used)])
         if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise AssertionError("phase-1 simplex cannot be unbounded")
-        if value > 0:
-            support = set()
-            for i in range(m):
-                col, kind = dual_read[i]
-                y = (1 - rc[col]) if kind == 1 else -rc[col]
-                if y != 0:
-                    support.add(i)
-            return LpResult(INFEASIBLE, farkas_rows=frozenset(support))
+        if rc[-1] < 0:  # phase-1 value > 0
+            # y_i = 1 - rc (artificial) or -rc (slack), rc = rc[col] / d
+            support = frozenset(i for i, (col, kind) in enumerate(dual_read)
+                                if rc[col] != (tab.d if kind == 1 else 0))
+            return LpResult(INFEASIBLE, farkas_rows=support)
         # drive leftover artificials out of the basis where possible
         for i in range(m):
-            if tab.basis[i] in art_set and tab.rhs[i] == 0:
+            if tab.basis[i] in art_set and tab.rows[i][-1] == 0:
                 for j in range(used):
                     if j not in art_set and tab.rows[i][j] != 0:
                         tab.pivot(i, j)
                         break
 
-    cost = [_fr(c) for c in lp.objective] + [Fraction(0)] * (used - nvars)
-    status, value, _ = _run_simplex(tab, cost, banned=frozenset(art_set))
+    (cost,), scale = _integral([[_fr(c) for c in lp.objective]])
+    status, rc = _run_simplex(tab, cost + [0] * (used - nvars), banned=frozenset(art_set))
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
     solution = [Fraction(0)] * used
     for i, b in enumerate(tab.basis):
-        solution[b] = tab.rhs[i]
-    return LpResult(OPTIMAL, value, tuple(solution[:nvars]))
+        solution[b] = Fraction(tab.rows[i][-1], tab.d)
+    return LpResult(OPTIMAL, Fraction(-rc[-1], tab.d * scale), tuple(solution[:nvars]))
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction],
-                 ncols: int) -> Optional[list[Fraction]]:
-    """The unique x with rows . x = rhs, by Gauss-Jordan over Fractions, or
-    None when there is no solution or more than one."""
-    tab = _Tableau(rows, rhs)
+                 ncols: int) -> Optional[tuple[list[int], int]]:
+    """(numerators, d) of the unique x with rows . x = rhs, x = numerators / d,
+    by fraction-free Gauss-Jordan, or None when there is no solution or
+    more than one."""
+    tab = _Tableau(_integral([row + [b] for row, b in zip(rows, rhs)])[0])
     unpivoted = list(range(len(rows)))
     for c in range(ncols):
         r = next((i for i in unpivoted if tab.rows[i][c]), None)
@@ -221,13 +231,13 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction],
             return None
         tab.pivot(r, c)
         unpivoted.remove(r)
-    if any(tab.rhs[i] for i in unpivoted):
+    if any(tab.rows[i][-1] for i in unpivoted):
         return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for i, c in enumerate(tab.basis):
         if c >= 0:
-            x[c] = tab.rhs[i]
-    return x
+            x[c] = tab.rows[i][-1]
+    return x, tab.d
 
 
 def certify_float_optimum(lp: LinearProgram) -> Optional[LpResult]:
@@ -239,12 +249,13 @@ def certify_float_optimum(lp: LinearProgram) -> Optional[LpResult]:
     zero slack, every EQ row included; the duals y live on the rows with
     y_i != 0 and solve B^T y = c_B over the columns with zero reduced cost.
     (At a degenerate vertex the tight rows outnumber the support and leave
-    y undetermined, hence the float duals.)  One Fraction Gauss-Jordan
+    y undetermined, hence the float duals.)  One fraction-free Gauss-Jordan
     solve per side, each with a unique solution, gives x and y.  The
     result stands only if x >= 0 and every row holds, y has the sign of
     each LE (<= 0) and GE (>= 0) row, every reduced cost c_j - A_j^T y is
     >= 0 and c.x = b.y: an exact proof of optimality, whatever the float
-    solve did.
+    solve did.  The checks run on integers: A and b scaled by one factor,
+    c by another, x and y each over its common denominator.
     """
     from scipy.optimize import linprog
 
@@ -296,26 +307,29 @@ def certify_float_optimum(lp: LinearProgram) -> Optional[LpResult]:
     if primal is None or dual is None:
         return None
 
-    x = [Fraction(0)] * n
-    for j, v in zip(support, primal):
-        x[j] = v
-    y = [Fraction(0)] * len(mat)
-    for i, v in zip(dual_support, dual):
-        y[i] = v
-    if any(v < 0 for v in x):
+    # x = xs / dx, y = ys / dy, A | b = ab / s, c = cs / t
+    (xs_support, dx), (ys_support, dy) = primal, dual
+    xs, ys = [0] * n, [0] * len(mat)
+    for j, v in zip(support, xs_support):
+        xs[j] = v
+    for i, v in zip(dual_support, ys_support):
+        ys[i] = v
+    if any(v < 0 for v in xs):
         return None
-    for row, rel, b, yi in zip(mat, rels, rhs, y):
-        lhs = sum(a * v for a, v in zip(row, x) if v)
+    ab, s = _integral([row + [b] for row, b in zip(mat, rhs)])
+    (cs,), t = _integral([cost])
+    for row, rel, yi in zip(ab, rels, ys):
+        lhs, b = sum(a * v for a, v in zip(row, xs) if v), row[-1] * dx
         if (rel == LE and (lhs > b or yi > 0)) or (rel == GE and (lhs < b or yi < 0)) \
                 or (rel == EQ and lhs != b):
             return None
     for j in range(n):
-        if cost[j] < sum(row[j] * yi for row, yi in zip(mat, y) if yi):
+        if cs[j] * s * dy < t * sum(row[j] * yi for row, yi in zip(ab, ys) if yi):
             return None
-    value = sum(c * v for c, v in zip(cost, x))
-    if value != sum(b * yi for b, yi in zip(rhs, y)):
+    cx = sum(c * v for c, v in zip(cs, xs))
+    if cx * s * dy != t * dx * sum(row[-1] * yi for row, yi in zip(ab, ys)):
         return None
-    return LpResult(OPTIMAL, value, tuple(x))
+    return LpResult(OPTIMAL, Fraction(cx, t * dx), tuple(Fraction(v, dx) for v in xs))
 
 
 def solve_feasibility(constraints: Sequence, n_vars: int) -> LpResult:

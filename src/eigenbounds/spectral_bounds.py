@@ -20,7 +20,9 @@ vertex in exact arithmetic (primal and dual feasibility, equal
 objectives; `lp_kernel.certify_float_optimum`), or, when the certificate
 fails, by the exact simplex; the witness names the route in
 "confirmed_by".  The best-first search's feasibility LPs and the ratio LP
-always use the exact simplex.
+always use the exact simplex.  Exact here means integer: `lp_kernel`
+scales each program to integers once and pivots fraction-free, taking
+the pivots a rational tableau would take.
 
 The MILPs run with HiGHS's root primal heuristic Feasibility Jump off
 (`mip_heuristic_run_feasibility_jump=False`): on tables 2 and 6 it took
@@ -49,6 +51,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import chebyshev as C, polynomial as P, polyutils as pu
 
 # minimize_over_binaries is looked up on the module at call time, so a
 # wrapper installed there sees every search
@@ -296,16 +299,34 @@ def _quiet_milp(*args, **kwargs):
         os.close(devnull)
 
 
+def _chebval_series(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Monomial coefficients of sum_i c_i T_i(x(t)) for x(t) a coefficient
+    series: `chebval`'s Clenshaw recursion with each operation on series,
+    the operations `Chebyshev.convert` performs on its polynomial objects."""
+    if len(c) == 1:
+        c0, c1 = c[0], 0
+    elif len(c) == 2:
+        c0, c1 = c[0], c[1]
+    else:
+        x2 = P.polymul(2, x)
+        c0, c1 = c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            c0, c1 = P.polysub(c[-i], c1), P.polyadd(c0, P.polymul(c1, x2))
+    return P.polyadd(c0, P.polymul(c1, x))
+
+
 def _chebyshev_basis(spectrum: Spectrum, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(to_monomial, values) of T_0..T_k on [theta_min, theta_max]: column i
     of to_monomial holds T_i's monomial coefficients, and values[j, i] is
-    T_i(theta_j)."""
+    T_i(theta_j).  Both equal, bit for bit, what numpy's `Chebyshev.basis`
+    objects on that domain give through `convert` and evaluation."""
     theta = np.array([float(t) for t in spectrum.distinct])
-    cheb = [np.polynomial.Chebyshev.basis(i, domain=[theta.min(), theta.max()])
-            for i in range(k + 1)]
-    to_monomial = np.array([np.pad(t.convert(kind=np.polynomial.Polynomial).coef, (0, k - i))
-                            for i, t in enumerate(cheb)]).T
-    return to_monomial, np.array([t(theta) for t in cheb]).T
+    off, scl = pu.mapparms([theta.min(), theta.max()], [-1, 1])
+    x = P.polyadd(off, P.polymul(scl, [0.0, 1.0]))  # the domain map t -> off + scl t
+    basis = np.eye(k + 1)
+    to_monomial = np.array([np.pad(_chebval_series(x, e), (0, k - i))
+                            for i, e in enumerate(basis)]).T
+    return to_monomial, np.array([C.chebval(off + scl * theta, e) for e in basis]).T
 
 
 def _propose_pattern(spectrum: Spectrum, oracle: _PatternOracle,
@@ -489,10 +510,11 @@ def minor_polynomial_lp(spectrum: Spectrum, k: int) -> BoundReport:
 
     Variables x_i = f(theta_i) with x_0 = 1, x_i >= 0; the requirement
     deg f <= k is expressed by vanishing Newton divided differences
-    f[theta_0..theta_s] = 0 for s = k+1..r, expanded symbolically into
-    linear forms.  The objective sum m_i x_i is the bound.  For k >= r the
-    constraint set is empty and the optimum is m_0 (a valid bound: the
-    graph's diameter is at most r, so G^k is complete).
+    f[theta_0..theta_s] = 0 for s = k+1..r, in closed form the linear
+    forms sum_{i<=s} x_i / prod_{j<=s, j!=i} (theta_i - theta_j).  The
+    objective sum m_i x_i is the bound.  For k >= r the constraint set is
+    empty and the optimum is m_0 (a valid bound: the graph's diameter is
+    at most r, so G^k is complete).
     """
     r = spectrum.r
     theta = [rationalize(t) for t in spectrum.distinct]
@@ -502,22 +524,15 @@ def minor_polynomial_lp(spectrum: Spectrum, k: int) -> BoundReport:
     flags = ()
     if k >= r:
         flags = ("unconstrained",)
-    # dd[i][j] = coefficient vector (over x_0..x_r) of f[theta_i..theta_j]
-    dd: dict[tuple[int, int], list[Fraction]] = {}
-    for i in range(r + 1):
-        vec = [Fraction(0)] * (r + 1)
-        vec[i] = Fraction(1)
-        dd[(i, i)] = vec
-    for span in range(1, r + 1):
-        for i in range(0, r + 1 - span):
-            j = i + span
-            hi, lo = dd[(i + 1, j)], dd[(i, j - 1)]
-            denom = theta[j] - theta[i]
-            dd[(i, j)] = [(a - b) / denom for a, b in zip(hi, lo)]
+    # prods[i] = prod_{j<=s, j!=i} (theta_i - theta_j), grown one s at a time
+    prods = [Fraction(1)]
     constraints = []
-    for s in range(k + 1, r + 1):
-        vec = dd[(0, s)]
-        constraints.append((tuple(vec[1:]), EQ, -vec[0]))
+    for s in range(1, r + 1):
+        prods = [p * (theta[i] - theta[s]) for i, p in enumerate(prods)]
+        prods.append(math.prod(theta[s] - theta[j] for j in range(s)))
+        if s > k:
+            vec = [1 / p for p in prods] + [Fraction(0)] * (r - s)
+            constraints.append((tuple(vec[1:]), EQ, -vec[0]))
     objective = tuple(Fraction(m) for m in spectrum.mults[1:])
     result = solve_lp(LinearProgram(objective, tuple(constraints)))
     if result.status != OPTIMAL:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from eigenbounds import lp_kernel, spectral_bounds, tables
 from eigenbounds.errors import DimensionMismatch, NoFeasibleAssignment, TooLarge
 from eigenbounds.lp_kernel import (
     EQ,
@@ -16,6 +17,7 @@ from eigenbounds.lp_kernel import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    LpResult,
     certify_float_optimum,
     minimize_over_binaries,
     solve_feasibility,
@@ -112,18 +114,23 @@ def _solve_square(mat, rhs):
     return [a[i][n] for i in range(n)]
 
 
-def test_against_vertex_enumeration():
-    """Random boxed LPs vs the exhaustive vertex oracle."""
+def _boxed_programs():
+    """1000 random LPs min c.x over Ax <= b, 0 <= x <= 5: (c, rows, program)."""
     rng = random.Random(99)
-    for case in range(1000):
+    for _ in range(1000):
         n = rng.randrange(2, 4)
         n_rows = rng.randrange(1, 5)
         c = tuple(F(rng.randrange(-4, 5)) for _ in range(n))
         rows = [(tuple(F(rng.randrange(-3, 4)) for _ in range(n)),
                  F(rng.randrange(-2, 7))) for _ in range(n_rows)]
-        expected = _bruteforce_lp(c, rows, ub=5)
         box = [(tuple(F(i == j) for j in range(n)), F(5)) for i in range(n)]
-        lp = LinearProgram(c, tuple((row, LE, rhs) for row, rhs in rows + box))
+        yield c, rows, LinearProgram(c, tuple((row, LE, rhs) for row, rhs in rows + box))
+
+
+def test_against_vertex_enumeration():
+    """Random boxed LPs vs the exhaustive vertex oracle."""
+    for case, (c, rows, lp) in enumerate(_boxed_programs()):
+        expected = _bruteforce_lp(c, rows, ub=5)
         got = solve_lp(lp)
         if expected is None:
             assert got.status == INFEASIBLE, case
@@ -131,16 +138,21 @@ def test_against_vertex_enumeration():
             assert got.status == OPTIMAL and got.value == expected, case
 
 
+def _feasibility_systems():
+    """400 random small systems over x >= 0: (rows, number of variables)."""
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randrange(1, 4)
+        yield [(tuple(F(rng.randrange(-3, 4)) for _ in range(n)),
+                rng.choice((LE, EQ, GE)), F(rng.randrange(-4, 5)))
+               for _ in range(rng.randrange(1, 6))], n
+
+
 def test_farkas_rows_are_infeasible_alone():
     """On random infeasible systems over x >= 0, the rows `farkas_rows`
     names are infeasible by themselves: core pruning relies on it."""
-    rng = random.Random(7)
     infeasible = 0
-    for case in range(400):
-        n = rng.randrange(1, 4)
-        rows = [(tuple(F(rng.randrange(-3, 4)) for _ in range(n)),
-                 rng.choice((LE, EQ, GE)), F(rng.randrange(-4, 5)))
-                for _ in range(rng.randrange(1, 6))]
+    for case, (rows, n) in enumerate(_feasibility_systems()):
         got = solve_feasibility(rows, n)
         if got.status != INFEASIBLE:
             continue
@@ -221,6 +233,229 @@ def test_certify_float_optimum_guard_and_empty_program():
     with pytest.raises(TooLarge):
         certify_float_optimum(LinearProgram((F(0),) * 200, ()))
     assert certify_float_optimum(LinearProgram((), ())) is None
+
+
+# ----------------------------------------------------------------------
+# Reference: the Fraction tableau that the integer kernel replaced
+# ----------------------------------------------------------------------
+
+class _FractionTableau:
+    """Dense simplex tableau over Fractions, counting its pivots."""
+
+    def __init__(self, rows, rhs):
+        self.rows = rows
+        self.rhs = rhs
+        self.basis = [-1] * len(rows)
+        self.pivots = 0
+
+    def pivot(self, r, c):
+        self.pivots += 1
+        inv = 1 / self.rows[r][c]
+        row = [x * inv for x in self.rows[r]]
+        self.rows[r] = row
+        self.rhs[r] *= inv
+        for i in range(len(self.rows)):
+            if i != r:
+                f = self.rows[i][c]
+                if f:
+                    self.rows[i] = [a - f * b for a, b in zip(self.rows[i], row)]
+                    self.rhs[i] -= f * self.rhs[r]
+        self.basis[r] = c
+
+
+def _fraction_run_simplex(tab, cost, banned=frozenset()):
+    m = len(tab.rows)
+    ncols = len(cost)
+    rc = list(cost)
+    value = F(0)
+    for i in range(m):
+        ci = cost[tab.basis[i]]
+        if ci:
+            row = tab.rows[i]
+            for j in range(ncols):
+                if row[j]:
+                    rc[j] -= ci * row[j]
+            value += ci * tab.rhs[i]
+    while True:
+        entering = next((j for j in range(ncols) if rc[j] < 0 and j not in banned), -1)
+        if entering < 0:
+            return OPTIMAL, value, rc
+        leaving, best = -1, None
+        for i in range(m):
+            a = tab.rows[i][entering]
+            if a > 0:
+                ratio = tab.rhs[i] / a
+                if best is None or ratio < best or (
+                        ratio == best and tab.basis[i] < tab.basis[leaving]):
+                    best, leaving = ratio, i
+        if leaving < 0:
+            return UNBOUNDED, F(0), rc
+        tab.pivot(leaving, entering)
+        f = rc[entering]
+        if f:
+            row = tab.rows[leaving]
+            for j in range(ncols):
+                if row[j]:
+                    rc[j] -= f * row[j]
+            value += f * tab.rhs[leaving]
+
+
+def _fraction_solve_lp(lp):
+    """(LpResult, pivots) of the two-phase Fraction simplex."""
+    nvars = len(lp.objective)
+    m = len(lp.constraints)
+    rels = [rel for _, rel, _ in lp.constraints]
+    rhs = [F(b) for _, _, b in lp.constraints]
+    total = nvars + sum(rel != EQ for rel in rels) + m
+    rows = [[F(c) for c in coeffs] + [F(0)] * (total - len(coeffs))
+            for coeffs, _, _ in lp.constraints]
+    next_col = nvars
+    art_cols, dual_read = [], []
+    tab = _FractionTableau(rows, rhs)
+    for i in range(m):
+        s_col = -1
+        if rels[i] != EQ:
+            rows[i][next_col] = F(1 if rels[i] == LE else -1)
+            s_col = next_col
+            next_col += 1
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+        if s_col >= 0 and rows[i][s_col] == 1:
+            tab.basis[i] = s_col
+            dual_read.append((s_col, 0))
+        else:
+            rows[i][next_col] = F(1)
+            art_cols.append(next_col)
+            tab.basis[i] = next_col
+            dual_read.append((next_col, 1))
+            next_col += 1
+    used = next_col
+    for i in range(m):
+        rows[i] = rows[i][:used]
+    art_set = set(art_cols)
+    if art_set:
+        _, value, rc = _fraction_run_simplex(tab, [F(j in art_set) for j in range(used)])
+        if value > 0:
+            support = frozenset(i for i, (col, kind) in enumerate(dual_read)
+                                if ((1 - rc[col]) if kind == 1 else -rc[col]) != 0)
+            return LpResult(INFEASIBLE, farkas_rows=support), tab.pivots
+        for i in range(m):
+            if tab.basis[i] in art_set and tab.rhs[i] == 0:
+                for j in range(used):
+                    if j not in art_set and tab.rows[i][j] != 0:
+                        tab.pivot(i, j)
+                        break
+    cost = [F(c) for c in lp.objective] + [F(0)] * (used - nvars)
+    status, value, _ = _fraction_run_simplex(tab, cost, banned=frozenset(art_set))
+    if status == UNBOUNDED:
+        return LpResult(UNBOUNDED), tab.pivots
+    solution = [F(0)] * used
+    for i, b in enumerate(tab.basis):
+        solution[b] = tab.rhs[i]
+    return LpResult(OPTIMAL, value, tuple(solution[:nvars])), tab.pivots
+
+
+def _fraction_solve_exact(rows, rhs, ncols):
+    """(x or None, pivots) of Gauss-Jordan over Fractions."""
+    tab = _FractionTableau([[F(a) for a in row] for row in rows], [F(b) for b in rhs])
+    unpivoted = list(range(len(rows)))
+    for c in range(ncols):
+        r = next((i for i in unpivoted if tab.rows[i][c]), None)
+        if r is None:
+            return None, tab.pivots
+        tab.pivot(r, c)
+        unpivoted.remove(r)
+    if any(tab.rhs[i] for i in unpivoted):
+        return None, tab.pivots
+    x = [F(0)] * ncols
+    for i, c in enumerate(tab.basis):
+        if c >= 0:
+            x[c] = tab.rhs[i]
+    return x, tab.pivots
+
+
+@pytest.fixture
+def integer_kernel(monkeypatch):
+    """(solve_lp, _solve_exact) of the integer kernel, each returning its
+    result and the number of pivots it took."""
+    pivot, pivots = lp_kernel._Tableau.pivot, []
+
+    def counted(self, r, c):
+        pivots.append((r, c))
+        pivot(self, r, c)
+    monkeypatch.setattr(lp_kernel._Tableau, "pivot", counted)
+
+    def run(solve):
+        def call(*args):
+            pivots.clear()
+            result = solve(*args)
+            return result, len(pivots)
+        return call
+    return run(lp_kernel.solve_lp), run(lp_kernel._solve_exact)
+
+
+def _assert_equal_to_fraction_kernel(integer_kernel, programs, systems):
+    """Equal LpResults and pivot counts on every program, and equal
+    Gauss-Jordan solutions and pivot counts on every (rows, rhs, ncols)."""
+    solve, solve_exact = integer_kernel
+    for case, lp in enumerate(programs):
+        assert solve(lp) == _fraction_solve_lp(lp), case
+    for case, system in enumerate(systems):
+        got, pivots = solve_exact(*system)
+        if got is not None:
+            nums, d = got
+            got = [F(v, d) for v in nums]
+        assert (got, pivots) == _fraction_solve_exact(*system), case
+
+
+def _captured_solve_exact(monkeypatch, run):
+    """Every (rows, rhs, ncols) that `_solve_exact` receives during run()."""
+    systems, solve_exact = [], lp_kernel._solve_exact
+
+    def capture(rows, rhs, ncols):
+        systems.append(([list(row) for row in rows], list(rhs), ncols))
+        return solve_exact(rows, rhs, ncols)
+    monkeypatch.setattr(lp_kernel, "_solve_exact", capture)
+    run()
+    monkeypatch.setattr(lp_kernel, "_solve_exact", solve_exact)
+    return systems
+
+
+def test_integer_kernel_equals_fraction_kernel_on_random_programs(integer_kernel, monkeypatch):
+    """Fraction-free pivoting takes the Fraction tableau's pivots: the same
+    LpResult (status, value, solution, farkas_rows) and pivot count on the
+    boxed, feasibility and float-route corpora above, and the same
+    Gauss-Jordan solves inside `certify_float_optimum`."""
+    programs = [lp for _, _, lp in _boxed_programs()]
+    for rows, n in _feasibility_systems():
+        programs.append(LinearProgram((F(0),) * n, tuple(rows)))
+    for kind in ("integer", "rationalized", "min-norm"):
+        rng = random.Random(23)
+        programs += [_random_program(rng, kind) for _ in range(200)]
+    systems = _captured_solve_exact(
+        monkeypatch, lambda: [certify_float_optimum(lp) for lp in programs[-600:]])
+    assert len(programs) == 2000 and len(systems) >= 700
+    _assert_equal_to_fraction_kernel(integer_kernel, programs, systems)
+
+
+def test_integer_kernel_equals_fraction_kernel_on_tables(integer_kernel, monkeypatch):
+    """The same on every exact LP of tables 2-6: the 101 simplex programs
+    (best-first feasibility and ratio LPs, all on tables 3-5) and the 44
+    Gauss-Jordan solves that certify the float route's min-norm LPs."""
+    programs, solve = [], lp_kernel.solve_lp
+
+    def capture(lp):
+        programs.append(lp)
+        return solve(lp)
+    # solve_feasibility looks solve_lp up in lp_kernel, spectral_bounds
+    # calls the name it imported
+    monkeypatch.setattr(lp_kernel, "solve_lp", capture)
+    monkeypatch.setattr(spectral_bounds, "solve_lp", capture)
+    systems = _captured_solve_exact(
+        monkeypatch, lambda: all(tables.verify_table(t) for t in range(2, 7)))
+    assert (len(programs), len(systems)) == (101, 44)
+    _assert_equal_to_fraction_kernel(integer_kernel, programs, systems)
 
 
 def test_minimize_over_binaries_basic():

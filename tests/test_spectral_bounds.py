@@ -518,6 +518,61 @@ def test_minor_lp_matches_closed_forms_on_other_regular_graphs():
                 sb.ratio_alpha3_closed(spec, delta).raw_value, space.name
 
 
+def _newton_table_rows(spectrum, k):
+    """Reference: the minor-polynomial LP's rows from the full Newton table
+    of divided differences, one coefficient vector per f[theta_i..theta_j]."""
+    r = spectrum.r
+    theta = [sb.rationalize(t) for t in spectrum.distinct]
+    dd = {(i, i): [Fraction(i == j) for j in range(r + 1)] for i in range(r + 1)}
+    for span in range(1, r + 1):
+        for i in range(r + 1 - span):
+            j = i + span
+            dd[i, j] = [(a - b) / (theta[j] - theta[i])
+                        for a, b in zip(dd[i + 1, j], dd[i, j - 1])]
+    return tuple((tuple(dd[0, s][1:]), lp_kernel.EQ, -dd[0, s][0]) for s in range(k + 1, r + 1))
+
+
+@pytest.mark.parametrize("spec", [phase_rotation_spectrum(q, n) for q, n in [
+    (2, 6), (3, 4), (3, 5), (4, 4)]] + [float_instance("city-block", m=4, n=3)[1],
+                                        float_instance("varshamov", n=6)[1]],
+    ids=["phase-rotation-2-6", "phase-rotation-3-4", "phase-rotation-3-5",
+         "phase-rotation-4-4", "city-block-4-3", "varshamov-6"])
+def test_minor_polynomial_rows_equal_newton_table(spec, monkeypatch):
+    """The closed-form divided differences give the Newton table's rows
+    exactly, so the ratio LP, its value and its witness are the same."""
+    programs = []
+
+    def capture(lp):  # the rows are the test; skip the solve
+        programs.append(lp)
+        return lp_kernel.LpResult(lp_kernel.OPTIMAL, Fraction(0), (Fraction(0),) * len(lp.objective))
+    monkeypatch.setattr(sb, "solve_lp", capture)
+    for k in range(1, spec.r + 1):
+        sb.minor_polynomial_lp(spec, k)
+        assert programs.pop().constraints == _newton_table_rows(spec, k), k
+
+
+def _numpy_chebyshev_basis(spectrum, k):
+    """Reference: `_chebyshev_basis` through numpy's Chebyshev objects."""
+    theta = np.array([float(t) for t in spectrum.distinct])
+    cheb = [np.polynomial.Chebyshev.basis(i, domain=[theta.min(), theta.max()])
+            for i in range(k + 1)]
+    to_monomial = np.array([np.pad(t.convert(kind=np.polynomial.Polynomial).coef, (0, k - i))
+                            for i, t in enumerate(cheb)]).T
+    return to_monomial, np.array([t(theta) for t in cheb]).T
+
+
+@pytest.mark.parametrize("metric,params", [
+    ("city-block", dict(m=4, n=3)), ("city-block", dict(m=6, n=3)), ("varshamov", dict(n=7))])
+def test_chebyshev_basis_equals_numpy_objects(metric, params):
+    """Bit for bit, so HiGHS receives the same MILP and its proposals, and
+    so the witnesses, cannot move."""
+    spec = float_instance(metric, **params)[1]
+    for k in range(1, 9):
+        got, expected = sb._chebyshev_basis(spec, k), _numpy_chebyshev_basis(spec, k)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), k
+
+
 def test_bound_monotonicity_soft_warning(capsys):
     """bound(k+1) <= bound(k) is not a theorem; report, never fail."""
     spec = phase_rotation_spectrum(3, 4)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenbounds import cli, graphs as gr, tables
+from eigenbounds import cli, graphs as gr, lp_kernel, spectral_bounds as sb, tables
 from eigenbounds.algebra import FieldVector
 from eigenbounds.errors import FixtureNotFound
 from eigenbounds.spectra import Spectrum
@@ -312,6 +312,37 @@ def test_table_oracle_node_count_is_pinned(monkeypatch):
     monkeypatch.setattr(gr, "k_independence_number", counted)
     assert all(tables.verify_table(t) for t in range(2, 7))
     assert (len(nodes), sum(nodes)) == (69, 9499)
+
+
+def test_table_exact_lp_work_is_pinned(monkeypatch):
+    """Work counters of the exact LPs on tables 3-5 (exact spectra): the
+    best-first searches try 73 patterns, 13 of them pruned by a Farkas
+    core and 60 decided by a feasibility LP, and the ratio bound solves
+    41 minor-polynomial LPs."""
+    counts = dict.fromkeys(("feasibility", "ratio", "patterns", "core_pruned"), 0)
+
+    def counting(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    search = lp_kernel.minimize_over_binaries
+
+    def counted_search(weights, oracle, max_nodes):
+        def counted_oracle(b):
+            before = counts["feasibility"]
+            counts["patterns"] += 1
+            feasible = oracle(b)
+            counts["core_pruned"] += counts["feasibility"] == before
+            return feasible
+        return search(weights, counted_oracle, max_nodes)
+
+    monkeypatch.setattr(sb, "solve_feasibility", counting("feasibility", sb.solve_feasibility))
+    monkeypatch.setattr(sb, "solve_lp", counting("ratio", sb.solve_lp))
+    monkeypatch.setattr(lp_kernel, "minimize_over_binaries", counted_search)
+    assert all(tables.verify_table(t) for t in range(3, 6))
+    assert counts == {"feasibility": 60, "ratio": 41, "patterns": 73, "core_pruned": 13}
 
 
 def test_cli_verify_takes_no_budget(capsys):
