@@ -99,8 +99,11 @@ def cmd_verify(args) -> int:
 def cmd_export_graph(args) -> int:
     space = tables.make_space(**vars(args))
     text = gr.export_edge_list(gr.build_distance_graph(space))
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise EigenboundsError(f"cannot write {args.out}: {exc.strerror}") from None
     print(f"wrote {args.out}")
     return 0
 

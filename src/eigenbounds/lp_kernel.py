@@ -1,9 +1,8 @@
 """Exact rational linear programming: two-phase primal simplex with Bland's
 rule over standard-form programs (every variable x >= 0; callers split a
 free variable into two columns), a feasibility front end that reports
-Farkas row supports, a float-proposed optimum certified in exact
-arithmetic, and the best-first binary enumeration driver used by the
-inertia MILPs.
+Farkas row supports, and the best-first binary enumeration that the
+inertia searches run.
 
 Every result is exact: programs hold rationals (the callers rationalize
 any floating-point spectra at fixed 2^40 denominators, see
@@ -12,11 +11,6 @@ its denominators, and pivoted fraction-free (Edmonds 1967; Bareiss 1968):
 one integer tableau over one common denominator, every division exact.
 The logical tableau, and so every pivot Bland's rule picks, is the one a
 rational tableau would have; Fractions appear only in the results.
-`certify_float_optimum` lets HiGHS pick a vertex in floating point, but
-only an exact Gauss-Jordan solve and an exact primal and dual check make
-it a result (Applegate, Cook, Dash & Espinoza, "Exact solutions to linear
-programming problems", Oper. Res. Lett. 2007); when a check fails it
-returns None and the caller runs the exact simplex.
 """
 
 from __future__ import annotations
@@ -27,12 +21,9 @@ from fractions import Fraction
 from operator import index
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .errors import BudgetExceeded, DimensionMismatch, NoFeasibleAssignment, TooLarge
 
 MAX_VARIABLES = 128
-FLOAT_ACTIVE_TOL = 1e-9  # relative: float values below it count as 0 when picking active sets
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -216,120 +207,6 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     for i, b in enumerate(tab.basis):
         solution[b] = Fraction(tab.rows[i][-1], tab.d)
     return LpResult(OPTIMAL, Fraction(-rc[-1], tab.d * scale), tuple(solution[:nvars]))
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction],
-                 ncols: int) -> Optional[tuple[list[int], int]]:
-    """(numerators, d) of the unique x with rows . x = rhs, x = numerators / d,
-    by fraction-free Gauss-Jordan, or None when there is no solution or
-    more than one."""
-    tab = _Tableau(_integral([row + [b] for row, b in zip(rows, rhs)])[0])
-    unpivoted = list(range(len(rows)))
-    for c in range(ncols):
-        r = next((i for i in unpivoted if tab.rows[i][c]), None)
-        if r is None:
-            return None
-        tab.pivot(r, c)
-        unpivoted.remove(r)
-    if any(tab.rows[i][-1] for i in unpivoted):
-        return None
-    x = [0] * ncols
-    for i, c in enumerate(tab.basis):
-        if c >= 0:
-            x[c] = tab.rows[i][-1]
-    return x, tab.d
-
-
-def certify_float_optimum(lp: LinearProgram) -> Optional[LpResult]:
-    """The optimum of a standard-form LP from a HiGHS solve, proved exactly,
-    or None when HiGHS fails or any exact check does (then run `solve_lp`).
-
-    HiGHS's primal and dual solutions only pick the active sets.  The
-    vertex x lives on the columns with x_j > 0 and solves the rows with
-    zero slack, every EQ row included; the duals y live on the rows with
-    y_i != 0 and solve B^T y = c_B over the columns with zero reduced cost.
-    (At a degenerate vertex the tight rows outnumber the support and leave
-    y undetermined, hence the float duals.)  One fraction-free Gauss-Jordan
-    solve per side, each with a unique solution, gives x and y.  The
-    result stands only if x >= 0 and every row holds, y has the sign of
-    each LE (<= 0) and GE (>= 0) row, every reduced cost c_j - A_j^T y is
-    >= 0 and c.x = b.y: an exact proof of optimality, whatever the float
-    solve did.  The checks run on integers: A and b scaled by one factor,
-    c by another, x and y each over its common denominator.
-    """
-    from scipy.optimize import linprog
-
-    n = len(lp.objective)
-    if n > MAX_VARIABLES:
-        raise TooLarge(f"{n} variables exceeds the {MAX_VARIABLES} guard")
-    if n == 0:  # linprog rejects an empty objective
-        return None
-    cost = [_fr(c) for c in lp.objective]
-    rels = [rel for _, rel, _ in lp.constraints]
-    rhs = [_fr(b) for _, _, b in lp.constraints]
-    mat = []
-    for coeffs, _, _ in lp.constraints:
-        if len(coeffs) > n:
-            raise DimensionMismatch(f"a row has {len(coeffs)} coefficients for {n} variables")
-        mat.append([_fr(a) for a in coeffs] + [Fraction(0)] * (n - len(coeffs)))
-    a_f = np.array(mat, dtype=float).reshape(len(mat), n)
-    b_f, c_f = np.array(rhs, dtype=float), np.array(cost, dtype=float)
-    ub = [i for i, rel in enumerate(rels) if rel != EQ]
-    eq = [i for i, rel in enumerate(rels) if rel == EQ]
-    sign = np.array([1.0 if rels[i] == LE else -1.0 for i in ub])
-    res = linprog(c_f, bounds=(0, None), method="highs",
-                  A_ub=a_f[ub] * sign[:, None] if ub else None,
-                  b_ub=b_f[ub] * sign if ub else None,
-                  A_eq=a_f[eq] if eq else None, b_eq=b_f[eq] if eq else None)
-    if res.status != 0:
-        return None
-    x_f, y_f = res.x, np.zeros(len(mat))
-    y_f[ub] = res.ineqlin.marginals * sign  # y_i = d(optimum) / d(b_i)
-    y_f[eq] = res.eqlin.marginals
-
-    x_scale = max(1.0, float(np.abs(x_f).max(initial=0.0)))
-    y_scale = max(1.0, float(np.abs(y_f).max(initial=0.0)))
-    abs_a = np.abs(a_f)
-    row_tol = FLOAT_ACTIVE_TOL * np.maximum(np.maximum(1.0, np.abs(b_f)),
-                                            abs_a.max(axis=1, initial=0.0) * x_scale)
-    col_tol = FLOAT_ACTIVE_TOL * np.maximum(np.maximum(1.0, np.abs(c_f)),
-                                            abs_a.max(axis=0, initial=0.0) * y_scale)
-    in_support = x_f > FLOAT_ACTIVE_TOL * x_scale
-    support = np.flatnonzero(in_support).tolist()
-    dual_support = np.flatnonzero(np.abs(y_f) > FLOAT_ACTIVE_TOL * y_scale).tolist()
-    tight_rows = np.flatnonzero((np.array(rels) == EQ)
-                                | (np.abs(a_f @ x_f - b_f) <= row_tol)).tolist()
-    tight_cols = np.flatnonzero(in_support | (np.abs(c_f - a_f.T @ y_f) <= col_tol)).tolist()
-    primal = _solve_exact([[mat[i][j] for j in support] for i in tight_rows],
-                          [rhs[i] for i in tight_rows], len(support))
-    dual = _solve_exact([[mat[i][j] for i in dual_support] for j in tight_cols],
-                        [cost[j] for j in tight_cols], len(dual_support))
-    if primal is None or dual is None:
-        return None
-
-    # x = xs / dx, y = ys / dy, A | b = ab / s, c = cs / t
-    (xs_support, dx), (ys_support, dy) = primal, dual
-    xs, ys = [0] * n, [0] * len(mat)
-    for j, v in zip(support, xs_support):
-        xs[j] = v
-    for i, v in zip(dual_support, ys_support):
-        ys[i] = v
-    if any(v < 0 for v in xs):
-        return None
-    ab, s = _integral([row + [b] for row, b in zip(mat, rhs)])
-    (cs,), t = _integral([cost])
-    for row, rel, yi in zip(ab, rels, ys):
-        lhs, b = sum(a * v for a, v in zip(row, xs) if v), row[-1] * dx
-        if (rel == LE and (lhs > b or yi > 0)) or (rel == GE and (lhs < b or yi < 0)) \
-                or (rel == EQ and lhs != b):
-            return None
-    for j in range(n):
-        if cs[j] * s * dy < t * sum(row[j] * yi for row, yi in zip(ab, ys) if yi):
-            return None
-    cx = sum(c * v for c, v in zip(cs, xs))
-    if cx * s * dy != t * dx * sum(row[-1] * yi for row, yi in zip(ab, ys)):
-        return None
-    return LpResult(OPTIMAL, Fraction(cx, t * dx), tuple(Fraction(v, dx) for v in xs))
 
 
 def solve_feasibility(constraints: Sequence, n_vars: int) -> LpResult:

@@ -12,17 +12,18 @@ class u of vertices sharing a diagonal of A^0..A^k (see `inertia_milp`).
 Exact spectra enumerate patterns best-first by weight, each checked by an
 exact-rational feasibility LP (Farkas cores prune later patterns); the
 first feasible one is optimal.  Float spectra solve the big-M form as one
-HiGHS MILP (see `_propose_pattern`) and confirm its proposal with one
-exact-rational min-norm LP, falling back to the best-first search when
-the proposal fails; a reported value always comes from an exactly
-confirmed pattern.  That LP is solved by HiGHS and certified from its
-vertex in exact arithmetic (primal and dual feasibility, equal
-objectives; `lp_kernel.certify_float_optimum`), or, when the certificate
-fails, by the exact simplex; the witness names the route in
-"confirmed_by".  The best-first search's feasibility LPs and the ratio LP
-always use the exact simplex.  Exact here means integer: `lp_kernel`
-scales each program to integers once and pivots fraction-free, taking
-the pivots a rational tableau would take.
+HiGHS MILP (see `_propose_pattern`) and confirm its proposal from the
+MILP's own point, made exact (`_PatternOracle.pin`): any exact p that
+satisfies the pattern's rows proves it, so no optimality proof is needed
+(Abiad, Coutinho & Fiol, Discrete Math. 2019).  Only a point that cannot
+be pinned runs one exact-rational min-norm LP on the exact simplex, and
+a pattern that LP finds infeasible falls back to the best-first search;
+a reported value always comes from an exactly confirmed pattern, and the
+witness names the route in "confirmed_by" ("milp_point" or "simplex").
+The best-first search's feasibility LPs and the ratio LP always use the
+exact simplex.  Exact here means integer: `lp_kernel` scales each
+program to integers once and pivots fraction-free, taking the pivots a
+rational tableau would take.
 
 The MILPs run with HiGHS's root primal heuristic Feasibility Jump off
 (`mip_heuristic_run_feasibility_jump=False`): on tables 2 and 6 it took
@@ -75,7 +76,6 @@ from .lp_kernel import (
     LE,
     OPTIMAL,
     LinearProgram,
-    certify_float_optimum,
     solve_feasibility,
     solve_lp,
 )
@@ -208,14 +208,15 @@ class _PatternOracle:
     the oracle on b decides that program's feasibility: the best-first
     search's test.  Infeasible patterns donate their Farkas row support as
     a core, and a later pattern whose zero-set contains a known core is
-    rejected without an LP call.  `min_norm_witness` minimizes sum(x+ + x-)
-    over the same program, deciding the pattern and yielding its witness
-    in a single exactly certified solve; the float MILP route confirms
-    with it.
+    rejected without an LP call.  `pin` turns the float MILP's point into
+    an exact witness of its pattern; `min_norm_witness` minimizes
+    sum(x+ + x-) over the same program, deciding the pattern and yielding
+    its witness in one exact simplex solve.
     """
 
     def __init__(self, base_rows: list, eig_table: list[list[Fraction]]):
         self.base_rows = base_rows
+        self.eig_table = eig_table
         self.n_vars = len(eig_table[0])
         self.cores: list[int] = []
         self.last_solution = None
@@ -248,25 +249,41 @@ class _PatternOracle:
         self.last_solution = self._coefficients(result.solution)
         return True
 
+    def pin(self, b: tuple, point: Sequence[float]) -> Optional[tuple[tuple, str]]:
+        """(exact coefficients of p satisfying every row of pattern b's
+        program, "milp_point"), made from the float coefficients `point`,
+        or None when the point cannot be pinned.
+
+        The point is rationalized and a_0 set to the least value every base
+        row allows: the base rows are homogeneous with a positive a_0
+        coefficient (1 on a class diagonal, n on the trace row), so this
+        makes the smallest class diagonal exactly 0, or solves the trace
+        row.  Then p is scaled so that its largest value over b's zeros is
+        exactly -1.  Both steps keep every row; the scaling needs that
+        largest value < 0, else the point is rejected.
+        """
+        a = [rationalize(float(x)) for x in point]
+        a[0] = max(-sum(c * x for c, x in zip(coeffs[1:], a[1:])) / coeffs[0]
+                   for coeffs, _, _ in self.base_rows)
+        top = max((sum(t * x for t, x in zip(self.eig_table[j], a))
+                   for j, bit in enumerate(b) if not bit), default=0)
+        if top >= 0:
+            return None
+        return tuple(x / -top for x in a), "milp_point"
+
     def min_norm_witness(self, b: tuple) -> Optional[tuple[tuple, str]]:
-        """(coefficients of p minimizing sum |a_i| under pattern b, the route
-        that proved it optimal), or None when the pattern is infeasible.
+        """(coefficients of p minimizing sum |a_i| under pattern b,
+        "simplex"), or None when the pattern is infeasible.
 
         Simplex vertices of the bare feasibility LP can carry huge
         coefficients that defeat the floating re-check; the minimum-norm
-        solution is the natural robust witness.  A HiGHS vertex certified
-        in exact arithmetic is tried first ("float_basis"); the exact
-        simplex ("simplex") settles every program it cannot certify,
-        infeasible ones included.
+        solution is the natural robust witness.
         """
         zeros = [j for j, bit in enumerate(b) if not bit]
-        lp = LinearProgram((Fraction(1),) * (2 * self.n_vars), self._program(zeros))
-        result, confirmed_by = certify_float_optimum(lp), "float_basis"
-        if result is None:
-            result, confirmed_by = solve_lp(lp), "simplex"
+        result = solve_lp(LinearProgram((Fraction(1),) * (2 * self.n_vars), self._program(zeros)))
         if result.status == INFEASIBLE:
             return None
-        return self._coefficients(result.solution), confirmed_by
+        return self._coefficients(result.solution), "simplex"
 
 
 def _float_verify(spectrum: Spectrum, coeffs: Sequence[Fraction], b: tuple) -> None:
@@ -330,8 +347,9 @@ def _chebyshev_basis(spectrum: Spectrum, k: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _propose_pattern(spectrum: Spectrum, oracle: _PatternOracle,
-                     max_nodes: int) -> tuple[int, tuple]:
-    """(weight, pattern) of the program's lightest pattern by one HiGHS MILP.
+                     max_nodes: int) -> tuple[int, tuple, np.ndarray]:
+    """(weight, pattern, monomial coefficients of p) of the program's
+    lightest pattern by one HiGHS MILP, all three in floating point.
 
     Variables: Chebyshev coefficients c of p on [theta_min, theta_max] with
     |c_i| <= MILP_COEFF_BOX (see `_chebyshev_basis`), then binaries b_j.
@@ -360,7 +378,7 @@ def _propose_pattern(spectrum: Spectrum, oracle: _PatternOracle,
     if res.status != 0:
         raise BudgetExceeded(f"inertia MILP unsolved within {max_nodes} nodes: {res.message}")
     b = tuple(int(round(x)) for x in res.x[k + 1:])
-    return sum(m for m, bit in zip(spectrum.mults, b) if bit), b
+    return sum(m for m, bit in zip(spectrum.mults, b) if bit), b, to_monomial @ res.x[:k + 1]
 
 
 def _inertia_search(spectrum: Spectrum, base_rows: list, eig_table: list,
@@ -368,15 +386,16 @@ def _inertia_search(spectrum: Spectrum, base_rows: list, eig_table: list,
     """Lightest feasible pattern of the program with these base rows.
 
     Exact spectra: best-first search.  Float spectra: one HiGHS MILP
-    proposes a pattern and one exact min-norm LP confirms it; a proposal
-    that fails confirmation is replaced by the best-first search's optimum.
+    proposes a pattern and its point, pinned exactly, confirms it; a point
+    that cannot be pinned runs one exact min-norm LP, and a proposal that
+    LP rejects is replaced by the best-first search's optimum.
     """
     oracle = _PatternOracle(base_rows, eig_table)
     if spectrum.exact:
         weight, b = lp_kernel.minimize_over_binaries(spectrum.mults, oracle, max_nodes)
         return weight, {"pattern": b, "polynomial": oracle.last_solution}
-    weight, b = _propose_pattern(spectrum, oracle, max_nodes)
-    found = oracle.min_norm_witness(b)
+    weight, b, point = _propose_pattern(spectrum, oracle, max_nodes)
+    found = oracle.pin(b, point) or oracle.min_norm_witness(b)
     if found is None:
         weight, b = lp_kernel.minimize_over_binaries(spectrum.mults, oracle, max_nodes)
         found = oracle.min_norm_witness(b)

@@ -25,17 +25,19 @@ from . import graphs as gr
 from . import metrics as mt
 from . import spectral_bounds as sb
 from .algebra import FieldVector, make_field
-from .errors import EigenboundsError, FixtureNotFound, NotApplicable
+from .errors import EigenboundsError, FixtureNotFound, InvalidPrime, NotApplicable
 from .spectra import Spectrum, cayley_spectrum_abelian, city_block_spectrum, \
     phase_rotation_spectrum, spectrum_of_graph
 
-PRIME_POWER_FIELDS = {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4), 25: (5, 2),
-                      27: (3, 3), 32: (2, 5)}
-
 
 def field_for(q: int):
-    p, k = PRIME_POWER_FIELDS.get(q, (q, 1))
-    return make_field(p, k)
+    """GF(q) for a prime power q = p^k, p the least prime factor of q."""
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        k = round(math.log(q, p))
+        if p**k == q:
+            return make_field(p, k)
+    raise InvalidPrime(f"{q} is not a prime power")
 
 
 def parse_partition(text: str) -> tuple[tuple[int, ...], ...]:

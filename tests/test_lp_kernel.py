@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,6 @@ from eigenbounds.lp_kernel import (
     UNBOUNDED,
     LinearProgram,
     LpResult,
-    certify_float_optimum,
     minimize_over_binaries,
     solve_feasibility,
     solve_lp,
@@ -199,42 +197,6 @@ def _random_program(rng, kind):
     return LinearProgram((F(1),) * (2 * deg + 2), tuple(rows))
 
 
-@pytest.mark.parametrize("kind", ["integer", "rationalized", "min-norm"])
-def test_certified_float_optimum_equals_simplex(kind):
-    """Whenever the float route returns a result, it is optimal, its solution
-    satisfies every row exactly and its value equals the exact simplex's;
-    on infeasible and unbounded programs it returns None."""
-    rng = random.Random(23)
-    tally = Counter()
-    for case in range(200):
-        lp = _random_program(rng, kind)
-        exact = solve_lp(lp)
-        got = certify_float_optimum(lp)
-        tally[exact.status, got is not None] += 1
-        if got is None:
-            continue
-        assert exact.status == OPTIMAL and got.status == OPTIMAL, case
-        assert got.value == exact.value, case
-        x = got.solution
-        assert len(x) == len(lp.objective) and all(v >= 0 for v in x), case
-        assert got.value == sum(c * v for c, v in zip(lp.objective, x)), case
-        for coeffs, rel, rhs in lp.constraints:
-            lhs = sum(a * v for a, v in zip(coeffs, x))
-            assert {LE: lhs <= rhs, EQ: lhs == rhs, GE: lhs >= rhs}[rel], case
-    assert tally[INFEASIBLE, True] == tally[UNBOUNDED, True] == 0
-    assert tally[INFEASIBLE, False] >= 20
-    assert tally[OPTIMAL, True] >= 75
-    assert tally[OPTIMAL, True] >= 9 * tally[OPTIMAL, False]
-    if kind != "min-norm":  # an all-ones objective over x >= 0 is bounded
-        assert tally[UNBOUNDED, False] >= 10
-
-
-def test_certify_float_optimum_guard_and_empty_program():
-    with pytest.raises(TooLarge):
-        certify_float_optimum(LinearProgram((F(0),) * 200, ()))
-    assert certify_float_optimum(LinearProgram((), ())) is None
-
-
 # ----------------------------------------------------------------------
 # Reference: the Fraction tableau that the integer kernel replaced
 # ----------------------------------------------------------------------
@@ -356,93 +318,47 @@ def _fraction_solve_lp(lp):
     return LpResult(OPTIMAL, value, tuple(solution[:nvars])), tab.pivots
 
 
-def _fraction_solve_exact(rows, rhs, ncols):
-    """(x or None, pivots) of Gauss-Jordan over Fractions."""
-    tab = _FractionTableau([[F(a) for a in row] for row in rows], [F(b) for b in rhs])
-    unpivoted = list(range(len(rows)))
-    for c in range(ncols):
-        r = next((i for i in unpivoted if tab.rows[i][c]), None)
-        if r is None:
-            return None, tab.pivots
-        tab.pivot(r, c)
-        unpivoted.remove(r)
-    if any(tab.rhs[i] for i in unpivoted):
-        return None, tab.pivots
-    x = [F(0)] * ncols
-    for i, c in enumerate(tab.basis):
-        if c >= 0:
-            x[c] = tab.rhs[i]
-    return x, tab.pivots
-
-
 @pytest.fixture
 def integer_kernel(monkeypatch):
-    """(solve_lp, _solve_exact) of the integer kernel, each returning its
-    result and the number of pivots it took."""
-    pivot, pivots = lp_kernel._Tableau.pivot, []
+    """solve_lp of the integer kernel, returning its result and the number
+    of pivots it took."""
+    pivot, pivots, solve_lp = lp_kernel._Tableau.pivot, [], lp_kernel.solve_lp
 
     def counted(self, r, c):
         pivots.append((r, c))
         pivot(self, r, c)
     monkeypatch.setattr(lp_kernel._Tableau, "pivot", counted)
 
-    def run(solve):
-        def call(*args):
-            pivots.clear()
-            result = solve(*args)
-            return result, len(pivots)
-        return call
-    return run(lp_kernel.solve_lp), run(lp_kernel._solve_exact)
+    def solve(lp):
+        pivots.clear()
+        result = solve_lp(lp)
+        return result, len(pivots)
+    return solve
 
 
-def _assert_equal_to_fraction_kernel(integer_kernel, programs, systems):
-    """Equal LpResults and pivot counts on every program, and equal
-    Gauss-Jordan solutions and pivot counts on every (rows, rhs, ncols)."""
-    solve, solve_exact = integer_kernel
+def _assert_equal_to_fraction_kernel(integer_kernel, programs):
+    """Equal LpResults and pivot counts on every program."""
     for case, lp in enumerate(programs):
-        assert solve(lp) == _fraction_solve_lp(lp), case
-    for case, system in enumerate(systems):
-        got, pivots = solve_exact(*system)
-        if got is not None:
-            nums, d = got
-            got = [F(v, d) for v in nums]
-        assert (got, pivots) == _fraction_solve_exact(*system), case
+        assert integer_kernel(lp) == _fraction_solve_lp(lp), case
 
 
-def _captured_solve_exact(monkeypatch, run):
-    """Every (rows, rhs, ncols) that `_solve_exact` receives during run()."""
-    systems, solve_exact = [], lp_kernel._solve_exact
-
-    def capture(rows, rhs, ncols):
-        systems.append(([list(row) for row in rows], list(rhs), ncols))
-        return solve_exact(rows, rhs, ncols)
-    monkeypatch.setattr(lp_kernel, "_solve_exact", capture)
-    run()
-    monkeypatch.setattr(lp_kernel, "_solve_exact", solve_exact)
-    return systems
-
-
-def test_integer_kernel_equals_fraction_kernel_on_random_programs(integer_kernel, monkeypatch):
+def test_integer_kernel_equals_fraction_kernel_on_random_programs(integer_kernel):
     """Fraction-free pivoting takes the Fraction tableau's pivots: the same
     LpResult (status, value, solution, farkas_rows) and pivot count on the
-    boxed, feasibility and float-route corpora above, and the same
-    Gauss-Jordan solves inside `certify_float_optimum`."""
+    boxed, feasibility and random corpora above."""
     programs = [lp for _, _, lp in _boxed_programs()]
     for rows, n in _feasibility_systems():
         programs.append(LinearProgram((F(0),) * n, tuple(rows)))
     for kind in ("integer", "rationalized", "min-norm"):
         rng = random.Random(23)
         programs += [_random_program(rng, kind) for _ in range(200)]
-    systems = _captured_solve_exact(
-        monkeypatch, lambda: [certify_float_optimum(lp) for lp in programs[-600:]])
-    assert len(programs) == 2000 and len(systems) >= 700
-    _assert_equal_to_fraction_kernel(integer_kernel, programs, systems)
+    assert len(programs) == 2000
+    _assert_equal_to_fraction_kernel(integer_kernel, programs)
 
 
 def test_integer_kernel_equals_fraction_kernel_on_tables(integer_kernel, monkeypatch):
-    """The same on every exact LP of tables 2-6: the 101 simplex programs
-    (best-first feasibility and ratio LPs, all on tables 3-5) and the 44
-    Gauss-Jordan solves that certify the float route's min-norm LPs."""
+    """The same on every exact LP of tables 2-6: the 101 simplex programs,
+    best-first feasibility and ratio LPs, all on tables 3-5."""
     programs, solve = [], lp_kernel.solve_lp
 
     def capture(lp):
@@ -452,10 +368,9 @@ def test_integer_kernel_equals_fraction_kernel_on_tables(integer_kernel, monkeyp
     # calls the name it imported
     monkeypatch.setattr(lp_kernel, "solve_lp", capture)
     monkeypatch.setattr(spectral_bounds, "solve_lp", capture)
-    systems = _captured_solve_exact(
-        monkeypatch, lambda: all(tables.verify_table(t) for t in range(2, 7)))
-    assert (len(programs), len(systems)) == (101, 44)
-    _assert_equal_to_fraction_kernel(integer_kernel, programs, systems)
+    assert all(tables.verify_table(t) for t in range(2, 7))
+    assert len(programs) == 101
+    _assert_equal_to_fraction_kernel(integer_kernel, programs)
 
 
 def test_minimize_over_binaries_basic():

@@ -22,7 +22,7 @@ from eigenbounds import lp_kernel
 from eigenbounds import metrics as mt
 from eigenbounds import spectral_bounds as sb
 from eigenbounds import tables
-from eigenbounds.lp_kernel import LinearProgram, certify_float_optimum, solve_lp
+from eigenbounds.lp_kernel import LinearProgram, solve_lp
 from eigenbounds.spectra import (
     Spectrum,
     city_block_spectrum,
@@ -150,16 +150,46 @@ SMALL_FLOAT_INSTANCES = (
     "-".join([metric] + [f"{key}{v}" for key, v in params.items()] + [f"k{k}"])
     for metric, params, k in SMALL_FLOAT_INSTANCES])
 def test_float_milp_route_equals_exact_best_first(metric, params, k, monkeypatch):
+    """The MILP's pinned point is an exact witness: it satisfies every row
+    of its pattern's rationalized program, and the pattern's weight is the
+    best-first optimum."""
     g, spec = float_instance(metric, **params)
+    searches = _captured_searches(monkeypatch)
     rep = sb.inertia_milp(g, spec, k, use_k1_shortcut=False)
     assert_witness_certifies(g, spec, k, rep)
+    assert rep.witness["confirmed_by"] == "milp_point"
+    (base_rows, eig_table, witness), = searches
+    assert_witness_solves_program(base_rows, eig_table, witness)
     monkeypatch.setattr(sb, "_inertia_search", exact_search)
     assert rep.raw_value == sb.inertia_milp(g, spec, k, use_k1_shortcut=False).raw_value
+
+
+def _captured_searches(monkeypatch) -> list:
+    """Route the module's inertia searches through a recorder of their
+    (base rows, eigenvalue power table, witness)."""
+    captured = []
+    search = sb._inertia_search
+
+    def capture(spectrum, base_rows, eig_table, max_nodes):
+        weight, witness = search(spectrum, base_rows, eig_table, max_nodes)
+        captured.append((base_rows, eig_table, witness))
+        return weight, witness
+
+    monkeypatch.setattr(sb, "_inertia_search", capture)
+    return captured
 
 
 def _row_holds(coeffs, rel, rhs, a):
     lhs = sum(c * x for c, x in zip(coeffs, a))
     return {"==": lhs == rhs, "<=": lhs <= rhs, ">=": lhs >= rhs}[rel]
+
+
+def assert_witness_solves_program(base_rows, eig_table, witness):
+    """Exact feasibility: the witness polynomial satisfies the base rows and
+    p(theta_j) <= -1 on every zero of its pattern."""
+    rows = list(base_rows) + [(eig_table[j], "<=", -1)
+                              for j, bit in enumerate(witness["pattern"]) if not bit]
+    assert all(_row_holds(*row, witness["polynomial"]) for row in rows)
 
 
 @pytest.mark.parametrize("make_programs", [
@@ -219,16 +249,9 @@ def test_joint_program_equals_per_class_minimum(metric, params, k, monkeypatch):
     space = tables.make_space(metric, **params)
     g = gr.build_distance_graph(space)
     spec = tables.spectrum_for(space, g)
-    captured = []
-    search = sb._inertia_search
-
-    def capture(spectrum, base_rows, eig_table, max_nodes):
-        captured.append((base_rows, eig_table))
-        return search(spectrum, base_rows, eig_table, max_nodes)
-
-    monkeypatch.setattr(sb, "_inertia_search", capture)
+    captured = _captured_searches(monkeypatch)
     rep = sb.inertia_milp(g, spec, k, use_k1_shortcut=False)
-    (base_rows, eig_table), = captured
+    (base_rows, eig_table, _), = captured
     programs = per_class_programs(g, k)
     joint = sb._PatternOracle(base_rows, eig_table)
     per_class = [sb._PatternOracle(rows, eig_table) for rows in programs]
@@ -246,7 +269,7 @@ def test_float_milp_rejected_proposal_falls_back_to_exact(monkeypatch):
     def infeasible_proposal(spectrum, oracle, max_nodes):
         # p(theta) <= -1 at every eigenvalue contradicts diagonals of p(A) >= 0
         calls.append("proposal")
-        return 0, (0,) * len(spectrum.distinct)
+        return 0, (0,) * len(spectrum.distinct), np.ones(oracle.n_vars)
 
     def recorded_best_first(*args):
         calls.append("best-first")
@@ -256,7 +279,7 @@ def test_float_milp_rejected_proposal_falls_back_to_exact(monkeypatch):
     monkeypatch.setattr(lp_kernel, "minimize_over_binaries", recorded_best_first)
     rep = sb.inertia_milp(g, spec, 2)
     assert calls == ["proposal", "best-first"]
-    assert rep.witness["confirmed_by"] in ("float_basis", "simplex")
+    assert rep.witness["confirmed_by"] == "simplex"
     assert_witness_certifies(g, spec, 2, rep)
     monkeypatch.setattr(sb, "_inertia_search", exact_search)
     assert rep.raw_value == sb.inertia_milp(g, spec, 2).raw_value == 3
@@ -276,16 +299,9 @@ def _counting_solve_lp(monkeypatch) -> list:
 
 def _winning_min_norm_program(monkeypatch):
     """(oracle, pattern, min-norm LP) of city block (3,2), k=2's winning pattern."""
-    captured = []
-    search = sb._inertia_search
-
-    def capture(spectrum, base_rows, eig_table, max_nodes):
-        captured.append((base_rows, eig_table))
-        return search(spectrum, base_rows, eig_table, max_nodes)
-
-    monkeypatch.setattr(sb, "_inertia_search", capture)
+    searches = _captured_searches(monkeypatch)
     rep = sb.inertia_milp(*float_instance("city-block", m=3, n=2), 2)
-    (base_rows, eig_table), = captured
+    (base_rows, eig_table, _), = searches
     oracle = sb._PatternOracle(base_rows, eig_table)
     b = rep.witness["pattern"]
     zeros = [j for j, bit in enumerate(b) if not bit]
@@ -293,56 +309,22 @@ def _winning_min_norm_program(monkeypatch):
     return oracle, b, lp
 
 
-def _scaled_vertex(linprog):
-    """HiGHS's answer with x doubled: still feasible (the rows are
-    homogeneous or read <= -1), no longer optimal and no longer a vertex."""
-    def wrong(*args, **kwargs):
-        res = linprog(*args, **kwargs)
-        res.x = 2 * res.x
-        return res
-
-    return wrong
-
-
-def _failed_solve(linprog):
-    def failed(*args, **kwargs):
-        return scipy.optimize.OptimizeResult(status=4, success=False, x=None,
-                                             message="numerical difficulties")
-
-    return failed
-
-
-@pytest.mark.parametrize("proposal", [_scaled_vertex, _failed_solve],
-                         ids=["non-optimal-x", "failure-status"])
-def test_wrong_float_point_runs_the_exact_fallback(proposal, monkeypatch):
-    """A wrong HiGHS answer is never certified: min_norm_witness falls back
-    to the exact simplex and returns the simplex's coefficients."""
+@pytest.mark.parametrize("all_zeros", [False, True], ids=["non-optimal-x", "failure-status"])
+def test_wrong_float_point_runs_the_exact_fallback(all_zeros, monkeypatch):
+    """p = 0 cannot be pinned: after a_0 is set its largest value over any
+    zero is 0, not below.  The float route then runs the exact min-norm
+    simplex, which returns its own coefficients as "simplex" on the winning
+    pattern, and its infeasible status (None) on the all-zeros pattern."""
     oracle, b, lp = _winning_min_norm_program(monkeypatch)
     expected = oracle._coefficients(solve_lp(lp).solution)
+    if all_zeros:
+        b = (0,) * len(b)
+        lp = LinearProgram(lp.objective, oracle._program(list(range(len(b)))))
     calls = _counting_solve_lp(monkeypatch)
-    assert oracle.min_norm_witness(b) == (expected, "float_basis")
+    assert oracle.pin(b, np.zeros(oracle.n_vars)) is None
     assert calls == []
-    monkeypatch.setattr(scipy.optimize, "linprog", proposal(scipy.optimize.linprog))
-    assert certify_float_optimum(lp) is None
-    assert oracle.min_norm_witness(b) == (expected, "simplex")
+    assert oracle.min_norm_witness(b) == (None if all_zeros else (expected, "simplex"))
     assert calls == [lp]
-
-
-def test_wrong_float_basis_fails_the_reduced_cost_check(monkeypatch):
-    """min x1 + 2 x2 s.t. x1 + x2 >= 1: the basis {x2}, with its exact dual
-    y = 2, is primal feasible but x1's reduced cost is 1 - 2 < 0."""
-    lp = LinearProgram((Fraction(1), Fraction(2)), (((1, 1), ">=", 1),))
-    assert certify_float_optimum(lp).solution == (1, 0)
-
-    def wrong_basis(c, **kwargs):
-        # linprog sees the GE row negated, so its marginal is -y
-        return scipy.optimize.OptimizeResult(
-            status=0, x=np.array([0.0, 1.0]),
-            ineqlin=scipy.optimize.OptimizeResult(marginals=np.array([-2.0])),
-            eqlin=scipy.optimize.OptimizeResult(marginals=np.array([])))
-
-    monkeypatch.setattr(scipy.optimize, "linprog", wrong_basis)
-    assert certify_float_optimum(lp) is None
 
 
 def _captured_milp_options(monkeypatch) -> list:
@@ -363,30 +345,36 @@ TABLE_FLOAT_MILPS = 22  # HiGHS MILPs on tables 2 and 6: one per row with k >= 2
 
 
 def test_min_norm_fallbacks_are_pinned(monkeypatch):
-    """Tables 2 and 6 confirm each row's pattern with one min-norm LP; count
-    the ones the float route could not certify, and the HiGHS MILPs that
-    proposed the patterns.  The counts are deterministic, so a change that
-    quietly sends these LPs back to the exact simplex, or solves more
-    MILPs, fails here rather than only in wall time."""
+    """Tables 2 and 6 confirm each row's pattern from its MILP's point; count
+    the points that could not be pinned and went to the exact min-norm
+    simplex, the HiGHS MILPs that proposed the patterns, and HiGHS LPs
+    (none: no LP is solved in floating point).  The counts are
+    deterministic, so a change that quietly sends these rows back to the
+    exact simplex, or solves more MILPs, fails here rather than only in
+    wall time.  Every witness satisfies its program's rows exactly."""
     calls = _counting_solve_lp(monkeypatch)
     milps = _captured_milp_options(monkeypatch)
-    witnesses = []
-    min_norm_witness = sb._PatternOracle.min_norm_witness
+    linprogs = []
+    linprog = scipy.optimize.linprog
 
-    def recorded(self, b):
-        witnesses.append(min_norm_witness(self, b))
-        return witnesses[-1]
+    def counted_linprog(*args, **kwargs):
+        linprogs.append(args)
+        return linprog(*args, **kwargs)
 
-    monkeypatch.setattr(sb._PatternOracle, "min_norm_witness", recorded)
+    monkeypatch.setattr(scipy.optimize, "linprog", counted_linprog)
+    searches = _captured_searches(monkeypatch)
     for table_id in (2, 6):
         for row in tables.load_fixture(table_id):
             space = tables.make_space(tables.TABLE_METRIC[table_id], **row)
             result = tables.compute_row(space, int(row["k"]), ["inertia"], with_alpha=False)
             assert result.cell("inertia") == row["inertia"]
-    assert len(witnesses) == 22
+    assert len(searches) == 22
     assert len(calls) <= MIN_NORM_FALLBACKS
-    assert sum(w[1] == "simplex" for w in witnesses) == len(calls)
+    assert sum(w["confirmed_by"] == "simplex" for _, _, w in searches) == len(calls)
     assert len(milps) == TABLE_FLOAT_MILPS
+    assert linprogs == []
+    for base_rows, eig_table, witness in searches:
+        assert_witness_solves_program(base_rows, eig_table, witness)
 
 
 def test_milp_skips_feasibility_jump(monkeypatch):

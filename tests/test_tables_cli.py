@@ -163,12 +163,18 @@ def test_cli_rejects_both_k_and_d():
      "--subspaces '1,0;0,a' is not of the form"),
     (["bound", "varshamov", "--n", "3", "--k", "1", "--max-nodes", "-1"],
      "--max-nodes must be >= 0"),
+    (["bound", "phase-rotation", "--q", "6", "--n", "2", "--k", "1"],
+     "6 is not a prime power"),
+    (["export-graph", "city-block", "--m", "3", "--n", "1", "--out", "/nonexistent/dir/g.txt"],
+     "cannot write /nonexistent/dir/g.txt"),
 ], ids=["plotkin", "singleton", "bogus", "no-m", "no-partition", "no-subspaces",
-        "bad-partition", "bad-subspaces", "negative-max-nodes"])
+        "bad-partition", "bad-subspaces", "negative-max-nodes", "not-prime-power",
+        "unwritable-out"])
 def test_cli_usage_error_exits_2(argv, message, capsys):
     """A bound the metric lacks, a missing metric parameter, malformed
-    parameter text or a negative node budget is reported, not raised as a
-    traceback."""
+    parameter text, a field order that is not a prime power, a negative
+    node budget or an output path that cannot be written is reported, not
+    raised as a traceback."""
     code, text = run_cli(argv)
     assert code == 2 and text == ""
     assert message in capsys.readouterr().err
@@ -361,6 +367,14 @@ def test_cli_max_nodes_timeout_is_deterministic():
                 "phase_rotation,n=5 q=3,2,3,27,>=11 (timeout)\n")
     assert run_cli(argv) == (0, expected)
     assert run_cli(argv) == (0, expected)
+
+
+def test_cli_bound_on_a_prime_power_field_above_32():
+    """GF(49) = GF(7^2): the field order is factored, not looked up."""
+    code, text = run_cli(["bound", "phase-rotation", "--q", "49", "--n", "2", "--k", "1",
+                          "--bounds", "singleton", "--format", "csv"])
+    assert (code, text) == (0, "metric,params,k,d,singleton,alpha\n"
+                                "phase_rotation,n=2 q=49,1,2,49,49\n")
 
 
 def test_cli_export_graph(tmp_path):
