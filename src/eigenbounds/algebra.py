@@ -5,7 +5,11 @@ element's coordinates over GF(p): index i has base-p digits (d_0, d_1, ...)
 standing for d_0 + d_1*x + ... modulo the reduction polynomial.  This makes
 0 and 1 land at indices 0 and 1 and makes the additive group of GF(q)
 literally (Z/p)^k on digits, which the character machinery in `spectra`
-relies on.
+relies on.  A field is built once as numpy tables (`FiniteField.digits`,
+`add_table`, `mul_table`, `neg_table`, `inv_table`) by digit arithmetic;
+the metric spaces, the incumbent search and the character sums index them
+directly.  Orders above `MAX_FIELD_ORDER` are rejected: their q x q tables
+would exceed the 2^20-entry guard that every space obeys.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatch, InternalError, InvalidPrime
 
-MAX_FIELD_ORDER = 2**16
+MAX_FIELD_ORDER = 2**10  # q^2 table entries stay within 2^20
 
 
 def is_prime(p: int) -> bool:
@@ -75,90 +81,74 @@ def _digits(value: int, p: int, k: int) -> list[int]:
 
 
 class FiniteField:
-    """GF(p^k) with exhaustive add/mul tables.
+    """GF(p^k) as numpy tables on element indices.
 
-    Construct via :func:`make_field`; the constructor itself assumes a
-    valid irreducible reduction polynomial.
+    `digits` is the q x k array of base-p digits, low digit first;
+    `add_table` and `mul_table` (q x q), `neg_table` and `inv_table` (q)
+    are intp arrays that vectorized callers index directly.  The
+    element-level operations read list copies of them, which keeps them at
+    Python-int speed.  Construct via :func:`make_field`; the constructor
+    itself assumes a valid irreducible reduction polynomial.
     """
 
     def __init__(self, p: int, k: int, reduction_polynomial: Sequence[int]):
         self.p = p
         self.k = k
-        self.q = p**k
+        self.q = q = p**k
         self.reduction_polynomial = tuple(reduction_polynomial)
-        q = self.q
 
-        digits = [_digits(i, p, k) for i in range(q)]
-        self._digits = digits
-
-        self.add_table = [
-            [self._index([(x + y) % p for x, y in zip(digits[a], digits[b])])
-             for b in range(q)]
-            for a in range(q)
-        ]
-        self.mul_table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                prod = self._mul_poly(digits[a], digits[b])
-                self.mul_table[a][b] = prod
-                self.mul_table[b][a] = prod
-        self.neg_table = [self._index([(-x) % p for x in digits[a]]) for a in range(q)]
-        self.inv_table = [0] * q
-        for a in range(1, q):
-            row = self.mul_table[a]
-            self.inv_table[a] = row.index(1)
-            if row[self.inv_table[a]] != 1:  # pragma: no cover
-                raise InternalError(f"element {a} has no inverse")
-
-    def _index(self, digs: Sequence[int]) -> int:
-        value = 0
-        for d in reversed(digs):
-            value = value * self.p + d
-        return value
-
-    def _mul_poly(self, da: list[int], db: list[int]) -> int:
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        red = list(self.reduction_polynomial)
-        for deg in range(len(prod) - 1, k - 1, -1):
-            c = prod[deg]
-            if c:
-                prod[deg] = 0
-                for i in range(k):
-                    prod[deg - k + i] = (prod[deg - k + i] - c * red[i]) % p
-        return self._index(prod[:k])
+        radix = p ** np.arange(k, dtype=np.intp)
+        elements = np.arange(q, dtype=np.intp)
+        self.digits = elements[:, None] // radix % p
+        self.add_table = add = np.zeros((q, q), dtype=np.intp)
+        for d, r in zip(self.digits.T, radix):  # by digit column: no q x q x k temporary
+            add += (d[:, None] + d) % p * r
+        # scalar[c, e] = c*e for c in GF(p), digit by digit
+        scalar = np.arange(p)[:, None, None] * self.digits % p @ radix
+        # x*e shifts e's digits up and folds its top digit t back in as
+        # t*x^k = t*(-r_0 - r_1 x - ... - r_{k-1} x^{k-1})
+        top = self.digits[:, -1]
+        x_to_k = (-np.array(self.reduction_polynomial[:k]) % p) @ radix
+        times_x = add[(elements - top * radix[-1]) * p, scalar[top, x_to_k]]
+        # a*b = sum_i a_i (x^i b)
+        mul = np.zeros((q, q), dtype=np.intp)
+        power = elements
+        for d in self.digits.T:
+            mul = add[mul, scalar[d[:, None], power]]
+            power = times_x[power]
+        self.mul_table = mul
+        self.neg_table = -self.digits % p @ radix
+        self.inv_table = np.argmax(mul == 1, axis=1)
+        if (mul[elements[1:], self.inv_table[1:]] != 1).any():  # pragma: no cover
+            raise InternalError(f"GF({q}) has an element without inverse")
+        # list copies for the element-level operations, sharing one int per element
+        ints = elements.astype(object)
+        self._add, self._mul = ints[add].tolist(), ints[mul].tolist()
+        self._neg, self._inv = ints[self.neg_table].tolist(), ints[self.inv_table].tolist()
 
     # element-level operations -----------------------------------------
     def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
+        return self._add[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
+        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
+        return self._mul[a][b]
 
     def neg(self, a: int) -> int:
-        return self.neg_table[a]
+        return self._neg[a]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self.inv_table[a]
+        return self._inv[a]
 
     def elements(self) -> range:
         return range(self.q)
 
     def nonzero(self) -> range:
         return range(1, self.q)
-
-    def element_digits(self, a: int) -> tuple[int, ...]:
-        """Coordinates of element a over GF(p), low digit first."""
-        return tuple(self._digits[a])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteField)
@@ -176,7 +166,7 @@ _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
 
 
 def make_field(p: int, k: int = 1) -> FiniteField:
-    """Build GF(p^k), p prime, p^k <= 2^16.
+    """Build GF(p^k), p prime, p^k <= MAX_FIELD_ORDER.
 
     The reduction polynomial is the first monic irreducible of degree k in
     counting order of the non-leading coefficient vector (constant digit
@@ -185,10 +175,12 @@ def make_field(p: int, k: int = 1) -> FiniteField:
     """
     if (p, k) in _FIELD_CACHE:
         return _FIELD_CACHE[(p, k)]
+    if k < 1:
+        raise InvalidPrime(f"degree k={k} < 1")
+    if p**k > MAX_FIELD_ORDER:  # before the primality test, which is trial division
+        raise InvalidPrime(f"GF({p**k}): field order exceeds {MAX_FIELD_ORDER}")
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
-    if k < 1 or p**k > MAX_FIELD_ORDER:
-        raise InvalidPrime(f"order p^k={p}**{k} outside supported range")
     if k == 1:
         reduction = [0, 1]  # x itself; arithmetic is plain mod p
     else:

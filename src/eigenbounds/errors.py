@@ -6,7 +6,9 @@ class EigenboundsError(Exception):
 
 
 class InvalidPrime(EigenboundsError):
-    """The characteristic passed to a field constructor is not prime."""
+    """A field was asked for that cannot be built: its characteristic is not
+    prime, its order is not a prime power, or its order lies outside
+    2..MAX_FIELD_ORDER."""
 
 
 class InternalError(EigenboundsError):

@@ -310,17 +310,12 @@ class _FieldMetricSpace(MetricSpace):
         """V x |S| index table: column j maps every vertex x to x + s_j,
         s_j the j-th `unit_sphere()` vector."""
         radix, digits = self.digits()
-        add = np.array(self.field.add_table, dtype=np.intp)
+        add = self.field.add_table
         sphere = np.array([s.coords for s in self.unit_sphere()], dtype=np.intp)
         table = np.zeros((len(digits), len(sphere)), dtype=np.intp)
         for i in range(self.n):  # one coordinate at a time keeps memory at V x |S|
             table += add[digits[:, i, None], sphere[None, :, i]] * radix[i]
         return table
-
-    def scaling(self, c: int) -> np.ndarray:
-        """Index array of the vertex permutation x -> c*x."""
-        radix, digits = self.digits()
-        return np.array(self.field.mul_table[c], dtype=np.intp)[digits] @ radix
 
     def adjacency(self) -> np.ndarray:
         table = self.translations()

@@ -146,14 +146,6 @@ def phase_rotation_spectrum(q: int, n: int) -> Spectrum:
     return Spectrum(distinct, tuple(counts[t] for t in distinct), exact=True)
 
 
-def _group_digits(v: FieldVector) -> tuple[int, ...]:
-    """Coordinates of v in the additive group (Z/p)^(k*n)."""
-    out: list[int] = []
-    for c in v.coords:
-        out.extend(v.field.element_digits(c))
-    return tuple(out)
-
-
 def cayley_spectrum_abelian(q: int, n: int,
                             connecting_set: Sequence[FieldVector]) -> Spectrum:
     """Spectrum of the Cayley graph on F_q^n via character sums.
@@ -178,7 +170,9 @@ def cayley_spectrum_abelian(q: int, n: int,
             raise AsymmetricConnectingSet("connecting set not closed under negation")
 
     p = field.p
-    s_digits = np.array([_group_digits(s) for s in connecting_set], dtype=np.int64)
+    # coordinates of each s in the additive group (Z/p)^(k*n)
+    coords = np.array([s.coords for s in connecting_set], dtype=np.intp)
+    s_digits = field.digits[coords].reshape(len(connecting_set), -1)
     dim = s_digits.shape[1]
     # all q^n characters = all digit vectors of (Z/p)^dim, counting order
     chars = np.zeros((q**n, dim), dtype=np.int64)

@@ -405,7 +405,7 @@ def _inertia_search(spectrum: Spectrum, base_rows: list, eig_table: list,
 
 
 def inertia_milp(g: Graph, spectrum: Spectrum, k: int,
-                 max_nodes: int = 1 << 20, use_k1_shortcut: bool = True) -> BoundReport:
+                 max_nodes: int = 1 << 20) -> BoundReport:
     """Optimal-polynomial Inertia-type bound for arbitrary graphs.
 
     One program for the whole graph: diag(p(A))_u >= 0 for one
@@ -420,7 +420,7 @@ def inertia_milp(g: Graph, spectrum: Spectrum, k: int,
     spectra also HiGHS's branch-and-bound nodes.  Running out raises
     BudgetExceeded.
     """
-    if k == 1 and use_k1_shortcut:
+    if k == 1:
         value, witness = _k1_inertia_value(spectrum)
         return BoundReport("inertia_milp", Fraction(value), k, exact=spectrum.exact,
                            witness=witness)
@@ -433,7 +433,7 @@ def inertia_milp(g: Graph, spectrum: Spectrum, k: int,
 
 
 def inertia_milp_walkreg(spectrum: Spectrum, k: int,
-                         max_nodes: int = 1 << 20, use_k1_shortcut: bool = True) -> BoundReport:
+                         max_nodes: int = 1 << 20) -> BoundReport:
     """Optimal-polynomial Inertia-type bound from the spectrum alone.
 
     Valid for k-partially walk-regular graphs (caller-verified): the
@@ -441,7 +441,7 @@ def inertia_milp_walkreg(spectrum: Spectrum, k: int,
     it to zero is the single constraint sum_i m_i p(theta_i) = 0.
     `max_nodes` is the work budget described at `inertia_milp`.
     """
-    if k == 1 and use_k1_shortcut:
+    if k == 1:
         value, witness = _k1_inertia_value(spectrum)
         return BoundReport("inertia_milp_walkreg", Fraction(value), k,
                            exact=spectrum.exact, witness=witness)

@@ -24,7 +24,7 @@ from . import classical_bounds as cb
 from . import graphs as gr
 from . import metrics as mt
 from . import spectral_bounds as sb
-from .algebra import FieldVector, make_field
+from .algebra import MAX_FIELD_ORDER, FieldVector, make_field
 from .errors import EigenboundsError, FixtureNotFound, InvalidPrime, NotApplicable
 from .spectra import Spectrum, cayley_spectrum_abelian, city_block_spectrum, \
     phase_rotation_spectrum, spectrum_of_graph
@@ -33,7 +33,9 @@ from .spectra import Spectrum, cayley_spectrum_abelian, city_block_spectrum, \
 def field_for(q: int):
     """GF(q) for a prime power q = p^k, p the least prime factor of q."""
     if q >= 2:
-        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        # make_field refuses every order above the cap, so no longer scan
+        p = next((d for d in range(2, math.isqrt(min(q, MAX_FIELD_ORDER)) + 1)
+                  if q % d == 0), q)
         k = round(math.log(q, p))
         if p**k == q:
             return make_field(p, k)
@@ -72,8 +74,7 @@ def linear_code_hint(space, k: int, target: int) -> list[int]:
     vertex 0.  Candidates are checked in batches.
     """
     f, n, q = space.field, space.n, space.field.q
-    add = np.array(f.add_table, dtype=np.intp)
-    mul = np.array(f.mul_table, dtype=np.intp)
+    add, mul = f.add_table, f.mul_table
     radix, _ = space.digits()
     steps = space.translations()
     light = np.zeros(space.ambient_size, dtype=bool)
@@ -284,10 +285,10 @@ def automorphism_generators(space: mt.MetricSpace) -> list[list[int]]:
     """
     kind = kind_of(space)
     gens = []
-    if kind.field_metric:
-        gens = (space.translations().T.tolist()
-                + [space.scaling(c).tolist() for c in space.field.nonzero() if c != 1])
     radix, digits = space.digits()
+    if kind.field_metric:
+        scalings = space.field.mul_table[2:, digits] @ radix  # x -> c*x, c = 2..q-1
+        gens = space.translations().T.tolist() + scalings.tolist()
     return gens + [(fn(digits) @ radix).tolist() for fn in kind.coordinate_maps(space)]
 
 

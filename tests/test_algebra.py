@@ -5,9 +5,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eigenbounds.algebra import (
+    MAX_FIELD_ORDER,
     FieldVector,
     Polynomial,
     make_field,
@@ -45,6 +47,119 @@ def test_not_prime_rejected():
         make_field(6)
     with pytest.raises(InvalidPrime):
         make_field(1)
+
+
+def test_field_order_cap():
+    """GF(q) is built up to q = MAX_FIELD_ORDER = 1024 and refused above."""
+    assert MAX_FIELD_ORDER == 1024
+    assert make_field(2, 10).q == 1024 and make_field(1021).q == 1021
+    with pytest.raises(InvalidPrime, match=r"GF\(2048\): field order exceeds 1024"):
+        make_field(2, 11)
+    with pytest.raises(InvalidPrime, match=r"GF\(1031\): field order exceeds 1024"):
+        make_field(1031)
+    with pytest.raises(InvalidPrime):
+        make_field(2, 0)
+
+
+# First monic irreducible in counting order, as each field's reduction
+# polynomial (low coefficient first); prime fields reduce by x.
+REDUCTION = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1), 16: (1, 1, 0, 0, 1),
+             25: (2, 0, 1), 27: (1, 2, 0, 1), 32: (1, 0, 1, 0, 0, 1), 49: (1, 0, 1),
+             64: (1, 1, 0, 0, 0, 0, 1), 81: (2, 1, 0, 0, 1), 121: (1, 0, 1),
+             125: (1, 1, 0, 1), 128: (1, 1, 0, 0, 0, 0, 0, 1),
+             243: (1, 2, 0, 0, 0, 1), 256: (1, 1, 0, 1, 1, 0, 0, 0, 1)}
+
+
+def _prime_powers(limit):
+    primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, p))]
+    return [(p, k) for p in primes for k in range(1, limit.bit_length())
+            if p**k <= limit]
+
+
+def _reference_tables(p, k, reduction):
+    """GF(p^k)'s digits and add, mul, neg and inv tables, built one element
+    or pair at a time: each product is a polynomial multiplication reduced
+    modulo the reduction polynomial."""
+    q = p**k
+    digits = [[a // p**i % p for i in range(k)] for a in range(q)]
+
+    def index(d):
+        return sum(c * p**i for i, c in enumerate(d))
+
+    def mul_poly(da, db):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for deg in range(2 * k - 2, k - 1, -1):
+            c, prod[deg] = prod[deg], 0
+            for i in range(k):
+                prod[deg - k + i] = (prod[deg - k + i] - c * reduction[i]) % p
+        return index(prod[:k])
+
+    add = [[index([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in range(q)]
+           for a in range(q)]
+    mul = [[0] * q for _ in range(q)]
+    for a in range(q):
+        for b in range(a, q):
+            mul[a][b] = mul[b][a] = mul_poly(digits[a], digits[b])
+    neg = [index([-x % p for x in digits[a]]) for a in range(q)]
+    inv = [0] + [row.index(1) for row in mul[1:]]
+    return digits, add, mul, neg, inv
+
+
+@pytest.mark.parametrize("p,k", _prime_powers(128) + [(3, 5), (2, 8)],
+                         ids=lambda v: str(v))
+def test_tables_equal_per_pair_reference(p, k):
+    """The vectorized tables and the reduction polynomial equal the
+    per-pair construction's, and so do the element-level operations."""
+    f = make_field(p, k)
+    q = f.q
+    assert f.reduction_polynomial == REDUCTION.get(q, (0, 1))
+    digits, add, mul, neg, inv = _reference_tables(p, k, f.reduction_polynomial)
+    assert f.digits.tolist() == digits
+    assert f.add_table.tolist() == add and f.mul_table.tolist() == mul
+    assert f.neg_table.tolist() == neg and f.inv_table.tolist() == inv
+    els = range(q)
+    assert [[f.add(a, b) for b in els] for a in els] == add
+    assert [[f.mul(a, b) for b in els] for a in els] == mul
+    assert [f.neg(a) for a in els] == neg and [f.inv(a) for a in els[1:]] == inv[1:]
+
+
+def _assert_field_axioms(f, a, b, c):
+    """Every axiom on the triples (a, b, c), index arrays that broadcast."""
+    add, mul = f.add_table, f.mul_table
+    assert (add[add[a, b], c] == add[a, add[b, c]]).all()
+    assert (mul[mul[a, b], c] == mul[a, mul[b, c]]).all()
+    assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
+    assert (add[a, b] == add[b, a]).all() and (mul[a, b] == mul[b, a]).all()
+
+
+def _assert_identities_and_inverses(f):
+    e = np.arange(f.q)
+    assert (f.digits @ f.p ** np.arange(f.k) == e).all()
+    assert (f.add_table[e, 0] == e).all() and (f.mul_table[e, 1] == e).all()
+    assert (f.mul_table[e, 0] == 0).all()
+    assert (f.add_table[e, f.neg_table] == 0).all()
+    assert (f.mul_table[e[1:], f.inv_table[1:]] == 1).all()
+
+
+@pytest.mark.parametrize("p,k", _prime_powers(64), ids=lambda v: str(v))
+def test_field_axioms_vectorized_exhaustive(p, k):
+    """Every axiom on every triple of GF(q), q <= 64, read off the tables."""
+    f = make_field(p, k)
+    _assert_identities_and_inverses(f)
+    e = np.arange(f.q)
+    _assert_field_axioms(f, e[:, None, None], e[None, :, None], e[None, None, :])
+
+
+@pytest.mark.parametrize("p,k", [(1021, 1), (2, 10)], ids=["1021", "1024"])
+def test_field_axioms_vectorized_sampled(p, k):
+    """The axioms on 10^5 random triples at the two largest orders."""
+    f = make_field(p, k)
+    _assert_identities_and_inverses(f)
+    a, b, c = np.random.default_rng(2024).integers(f.q, size=(3, 10**5))
+    _assert_field_axioms(f, a, b, c)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),

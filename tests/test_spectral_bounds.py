@@ -79,20 +79,52 @@ def test_inertia_type_scale_invariance():
         assert sb.inertia_type_bound(g, spec, p.scale(c), 2).raw_value == base
 
 
-def test_k1_shortcut_equals_generic():
-    """The closed-form k=1 path must equal the explicit enumeration."""
+def diagonal_classes(g, k):
+    """The distinct diagonal vectors ((A^0)_uu..(A^k)_uu), sorted."""
+    diags = gr._diag_powers(g.adjacency, k)
+    return sorted({tuple(int(d[v]) for d in diags) for v in range(g.n_vertices)})
+
+
+def joint_rows(g, k):
+    """`sb.inertia_milp`'s base rows: every class diagonal of p(A) >= 0."""
+    return [(u, ">=", 0) for u in diagonal_classes(g, k)]
+
+
+def walkreg_rows(spec, k):
+    """`sb.inertia_milp_walkreg`'s base row: sum_i m_i p(theta_i) = 0."""
+    eig_table = sb._eigen_power_table(spec, k)
+    return [(tuple(sum(Fraction(m) * eig_table[j][i] for j, m in enumerate(spec.mults))
+                   for i in range(k + 1)), "==", Fraction(0))]
+
+
+def searched_inertia_milp(g, spec, k):
+    """`sb.inertia_milp`, except that at k = 1, which it reads off the
+    spectrum, its search runs on the same base rows."""
+    if k > 1:
+        return sb.inertia_milp(g, spec, k)
+    value, witness = sb._inertia_search(spec, joint_rows(g, k),
+                                        sb._eigen_power_table(spec, k), 1 << 20)
+    return sb.BoundReport("inertia_milp", Fraction(value), k, exact=spec.exact,
+                          witness=witness)
+
+
+def test_k1_shortcut_equals_generic(monkeypatch):
+    """The closed-form k=1 path must equal the search over the entry
+    points' base rows, which are the rows they search at k = 2."""
     cases = [phase_rotation_spectrum(3, 2), phase_rotation_spectrum(2, 4),
              phase_rotation_spectrum(4, 3), city_block_spectrum(4, 2)]
     for spec in cases:
-        fast = sb.inertia_milp_walkreg(spec, 1, use_k1_shortcut=True)
-        slow = sb.inertia_milp_walkreg(spec, 1, use_k1_shortcut=False)
-        assert fast.floored == slow.floored, spec
+        slow, _ = sb._inertia_search(spec, walkreg_rows(spec, 1),
+                                     sb._eigen_power_table(spec, 1), 1 << 20)
+        assert sb.inertia_milp_walkreg(spec, 1).floored == slow, spec
     space = mt.CityBlockSpace(3, 2)
     g = gr.build_distance_graph(space)
     spec = city_block_spectrum(3, 2)
-    fast = sb.inertia_milp(g, spec, 1, use_k1_shortcut=True)
-    slow = sb.inertia_milp(g, spec, 1, use_k1_shortcut=False)
-    assert fast.floored == slow.floored
+    assert sb.inertia_milp(g, spec, 1).floored == searched_inertia_milp(g, spec, 1).floored
+    captured = _captured_searches(monkeypatch)
+    sb.inertia_milp(g, spec, 2)
+    sb.inertia_milp_walkreg(cases[0], 2)
+    assert [rows for rows, _, _ in captured] == [joint_rows(g, 2), walkreg_rows(cases[0], 2)]
 
 
 @pytest.mark.parametrize("q,n,k,expect", [
@@ -155,13 +187,13 @@ def test_float_milp_route_equals_exact_best_first(metric, params, k, monkeypatch
     best-first optimum."""
     g, spec = float_instance(metric, **params)
     searches = _captured_searches(monkeypatch)
-    rep = sb.inertia_milp(g, spec, k, use_k1_shortcut=False)
+    rep = searched_inertia_milp(g, spec, k)
     assert_witness_certifies(g, spec, k, rep)
     assert rep.witness["confirmed_by"] == "milp_point"
     (base_rows, eig_table, witness), = searches
     assert_witness_solves_program(base_rows, eig_table, witness)
     monkeypatch.setattr(sb, "_inertia_search", exact_search)
-    assert rep.raw_value == sb.inertia_milp(g, spec, k, use_k1_shortcut=False).raw_value
+    assert rep.raw_value == searched_inertia_milp(g, spec, k).raw_value
 
 
 def _captured_searches(monkeypatch) -> list:
@@ -226,8 +258,7 @@ def per_class_programs(g, k):
     """Reference: the per-vertex programs the joint program replaced, one
     per diagonal class u, with u's diagonal of p(A) pinned to 0 and every
     other class's diagonal >= 0."""
-    diags = gr._diag_powers(g.adjacency, k)
-    classes = sorted({tuple(int(d[v]) for d in diags) for v in range(g.n_vertices)})
+    classes = diagonal_classes(g, k)
     return [[(u, "==", 0)] + [(other, ">=", 0) for other in classes if other != u]
             for u in classes]
 
@@ -250,7 +281,7 @@ def test_joint_program_equals_per_class_minimum(metric, params, k, monkeypatch):
     g = gr.build_distance_graph(space)
     spec = tables.spectrum_for(space, g)
     captured = _captured_searches(monkeypatch)
-    rep = sb.inertia_milp(g, spec, k, use_k1_shortcut=False)
+    rep = sb.inertia_milp(g, spec, k)
     (base_rows, eig_table, _), = captured
     programs = per_class_programs(g, k)
     joint = sb._PatternOracle(base_rows, eig_table)

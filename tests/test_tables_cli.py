@@ -165,19 +165,30 @@ def test_cli_rejects_both_k_and_d():
      "--max-nodes must be >= 0"),
     (["bound", "phase-rotation", "--q", "6", "--n", "2", "--k", "1"],
      "6 is not a prime power"),
+    (["bound", "phase-rotation", "--q", "4096", "--n", "2", "--k", "1"],
+     "GF(4096): field order exceeds 1024"),
+    (["bound", "phase-rotation", "--q", str(2**61 - 1), "--n", "1", "--k", "1"],
+     f"GF({2**61 - 1}): field order exceeds 1024"),
     (["export-graph", "city-block", "--m", "3", "--n", "1", "--out", "/nonexistent/dir/g.txt"],
      "cannot write /nonexistent/dir/g.txt"),
 ], ids=["plotkin", "singleton", "bogus", "no-m", "no-partition", "no-subspaces",
         "bad-partition", "bad-subspaces", "negative-max-nodes", "not-prime-power",
-        "unwritable-out"])
+        "field-order-too-large", "large-prime-order", "unwritable-out"])
 def test_cli_usage_error_exits_2(argv, message, capsys):
     """A bound the metric lacks, a missing metric parameter, malformed
-    parameter text, a field order that is not a prime power, a negative
-    node budget or an output path that cannot be written is reported, not
-    raised as a traceback."""
+    parameter text, a field order that is not a prime power or exceeds
+    1024, a negative node budget or an output path that cannot be written
+    is reported, not raised as a traceback."""
     code, text = run_cli(argv)
     assert code == 2 and text == ""
     assert message in capsys.readouterr().err
+
+
+def test_cli_spectrum_in_the_largest_prime_field():
+    """GF(1021) lies under the field-order cap, and phase rotation on
+    GF(1021)^2 (1,042,441 vertices) under the 2^20 guard."""
+    code, text = run_cli(["spectrum", "phase-rotation", "--q", "1021", "--n", "2"])
+    assert code == 0 and text == "{3060:1, 1018:3060, -3:1039380}\n"
 
 
 def test_linear_code_hints():
@@ -209,7 +220,7 @@ def _loop_linear_code_hint(space, k, target):
     time, each codeword built by field arithmetic and weighed by
     `space.weight` until the first light one."""
     f, n = space.field, space.n
-    q, add, mul = f.q, f.add_table, f.mul_table
+    q = f.q
     weights = {}
 
     def heavy(word):
@@ -239,7 +250,7 @@ def _loop_linear_code_hint(space, k, target):
                 tail = [0] * (n - r)
                 for ci, row in zip(c, rows):
                     for j, a in enumerate(row):
-                        tail[j] = add[tail[j]][mul[ci][a]]
+                        tail[j] = f.add(tail[j], f.mul(ci, a))
                 word = c + tuple(tail)
                 if not heavy(word):
                     break
@@ -396,10 +407,11 @@ def test_cli_determinism():
     (["varshamov", "--n", "6", "--k", "3"], "3"),
 ], ids=["city-block", "varshamov"])
 def test_cli_json_stdout_holds_only_the_row(argv, inertia):
-    """HiGHS's MIP solver writes to file descriptor 1 on the city-block
-    instance, and both instances solve their min-norm LP with HiGHS; none
-    of it may reach the JSON on stdout.  scipy's warning about the HiGHS
-    option it passes on verbatim must not reach stderr either."""
+    """Both instances solve their inertia program as one HiGHS MILP, and
+    HiGHS's MIP solver writes to file descriptor 1 on the city-block
+    instance; none of it may reach the JSON on stdout.  scipy's warning
+    about the HiGHS option it passes on verbatim must not reach stderr
+    either."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
