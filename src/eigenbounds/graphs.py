@@ -5,10 +5,10 @@ matrix plus per-vertex Python-int bitmasks for the branch-and-bound solver.
 Vertex order is the metric's canonical enumeration, so vertex numbering is
 reproducible across runs.  The space builds the adjacency itself by index
 arithmetic (`MetricSpace.adjacency`); the k-th power graph takes k - 1
-sparse matrix products, and the diagonals of A^1..A^k take k.  All-pairs
-distances (scipy's unweighted shortest paths) are computed only where
-distances themselves are needed: the geodesic check and distance
-regularity.
+passes that OR packed neighbour rows together, and the diagonals of
+A^1..A^k take k sparse matrix products.  All-pairs distances (scipy's
+unweighted shortest paths) are computed only where distances themselves
+are needed: the geodesic check and distance regularity.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import AmbientTooLarge, BudgetExceeded, Disconnected, InternalError
@@ -26,6 +26,7 @@ from .metrics import MetricSpace, enumerate_ambient
 MAX_DENSE_VERTICES = 2**14
 MAX_NODES = 4_000_000  # default alpha-oracle budget, in branch-and-bound nodes
 UNREACHABLE = 2**30  # sentinel exceeding any metric value
+GATHER_BYTES = 2**24  # cap on the neighbour-row gather `power_graph` holds at once
 
 
 @dataclass
@@ -112,20 +113,34 @@ def verify_geodesic_equals_metric(space: MetricSpace, g: Graph) -> bool:
 def power_graph(g: Graph, k: int) -> Graph:
     """Same vertices, edges between vertices at geodesic distance <= k.
 
-    Row x of reach_j = min(1, (A + I) reach_{j-1}) marks the vertices within
-    j steps of x, starting from reach_1 = A: k - 1 sparse-times-dense
-    products, O(k V^2 delta).  float32 holds every entry exactly (each is at
-    most delta + 1 before the clamp), and the diagonal is cleared at the end.
+    Each row is a packed bitset (`np.packbits`, little bit order).  Row x of
+    reach_j is the OR of rows y of reach_(j-1) over x and its neighbours,
+    starting from reach_1 = A, so it marks the vertices within j steps of x:
+    k - 1 passes, O(k V^2 delta / 8) byte operations.  The neighbour table
+    is padded with the row's own vertex, so every row has the same width,
+    and each pass gathers rows in blocks of at most GATHER_BYTES (at least
+    one row).  The diagonal is cleared at the end.
     """
     if k < 1:
         raise ValueError("k >= 1 required")
     a = g.adjacency
-    step = csr_matrix(a, dtype=np.float32) + identity(len(a), dtype=np.float32, format="csr")
-    reach = a.astype(np.float32)
-    for _ in range(k - 1):
-        reach = step @ reach
-        np.minimum(reach, 1, out=reach)
-    adj = reach.astype(np.uint8)
+    n = len(a)
+    reach = np.packbits(a, axis=1, bitorder="little")
+    if k > 1 and n:
+        deg = g.degree_list
+        width = int(deg.max()) + 1
+        nbr = np.repeat(np.arange(n), width).reshape(n, width)
+        cols = np.flatnonzero(a.view(bool))
+        cols %= n
+        nbr[np.arange(width) < deg[:, None]] = cols
+        block = max(1, GATHER_BYTES // (width * reach.shape[1]))
+        for _ in range(k - 1):
+            nxt = np.empty_like(reach)
+            for lo in range(0, n, block):
+                np.bitwise_or.reduce(reach[nbr[lo:lo + block]], axis=1,
+                                     out=nxt[lo:lo + block])
+            reach = nxt
+    adj = np.unpackbits(reach, axis=1, count=n, bitorder="little")
     np.fill_diagonal(adj, 0)
     return Graph(adj)
 
@@ -133,10 +148,9 @@ def power_graph(g: Graph, k: int) -> Graph:
 def _diag_powers(adjacency: np.ndarray, k: int) -> list[np.ndarray]:
     """Diagonals of A^0..A^k as exact int64 vectors.
 
-    A^i = A A^(i-1) by k sparse-times-dense int64 products, O(k V^2 delta),
-    the pattern `power_graph` uses.  Integer arithmetic throughout, so every
-    entry is exact while it stays below 2^63 (entries of A^i are at most
-    delta^i).
+    A^i = A A^(i-1) by k sparse-times-dense int64 products, O(k V^2 delta).
+    Integer arithmetic throughout, so every entry is exact while it stays
+    below 2^63 (entries of A^i are at most delta^i).
     """
     a = csr_matrix(adjacency, dtype=np.int64)
     power = np.eye(adjacency.shape[0], dtype=np.int64)
@@ -256,10 +270,10 @@ def _greedy_independent(cand: int, adj: list[int], reverse: bool = False) -> int
 
 def _is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
     p = np.asarray(perm)
-    if p.shape != (g.n_vertices,) or sorted(p.tolist()) != list(range(g.n_vertices)):
+    if p.shape != (g.n_vertices,) or not np.array_equal(np.sort(p), np.arange(len(p))):
         return False
     a = g.adjacency
-    return bool(np.array_equal(a[np.ix_(p, p)], a))
+    return bool(np.array_equal(a[p][:, p], a))
 
 
 def _orbit(v: int, gens: list[list[int]]) -> int:
@@ -313,7 +327,7 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
     if n == 0:
         return IndependentSetResult(0, (), True)
     perm = np.argsort(-g.degree_list, kind="stable")  # descending degree, then index
-    adj = _row_bitmasks(g.adjacency[np.ix_(perm, perm)])
+    adj = _row_bitmasks(g.adjacency[perm][:, perm])
     perm = perm.tolist()
     pos = [0] * n
     for p, v in enumerate(perm):
@@ -391,7 +405,7 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
         cert.append(perm[p])
     cert.sort()
     # certificate sanity: independence in the original adjacency
-    if g.adjacency[np.ix_(cert, cert)].any():
+    if g.adjacency[cert][:, cert].any():
         raise AssertionError("internal error: certificate not independent")
     return IndependentSetResult(best[0], tuple(cert), exact, nodes[0], certified)
 

@@ -297,13 +297,20 @@ def _float_verify(spectrum: Spectrum, coeffs: Sequence[Fraction], b: tuple) -> N
 
 def _quiet_milp(*args, **kwargs):
     """scipy.optimize.milp with file descriptor 1 on the null device: HiGHS's
-    MIP solver writes to it even with disp=False.  scipy warns about every
+    MIP solver writes to it even with disp=False.  C stdio is flushed on
+    both sides of the redirect: when stdout is not a terminal and Python
+    runs buffered, HiGHS's text would otherwise wait in the C buffer and
+    reach the real stdout after it is restored.  scipy warns about every
     option it passes to HiGHS verbatim (a RuntimeWarning), and its HiGHS
     wrapper about one HiGHS does not know (an OptimizeWarning); both are
     silenced too.  Process-wide, so not for use from threads."""
+    import ctypes
+
     from scipy.optimize import milp
 
+    libc = ctypes.CDLL(None)
     sys.stdout.flush()
+    libc.fflush(None)
     saved, devnull = os.dup(1), os.open(os.devnull, os.O_WRONLY)
     try:
         os.dup2(devnull, 1)
@@ -311,6 +318,7 @@ def _quiet_milp(*args, **kwargs):
             warnings.filterwarnings("ignore", "Unrecognized options detected")
             return milp(*args, **kwargs)
     finally:
+        libc.fflush(None)
         os.dup2(saved, 1)
         os.close(saved)
         os.close(devnull)

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix, identity
 
 import math
 from fractions import Fraction
@@ -92,6 +94,33 @@ def test_power_graph_properties():
         prev = nxt
 
 
+def float32_power_graph(g, k):
+    """The float32 route `power_graph` took before its bitset passes, kept as
+    the reference: reach_j = min(1, (A + I) reach_(j-1)) by sparse-times-
+    dense products from reach_1 = A, the diagonal cleared at the end."""
+    a = g.adjacency
+    step = csr_matrix(a, dtype=np.float32) + identity(len(a), dtype=np.float32, format="csr")
+    reach = a.astype(np.float32)
+    for _ in range(k - 1):
+        reach = step @ reach
+        np.minimum(reach, 1, out=reach)
+    adj = reach.astype(np.uint8)
+    np.fill_diagonal(adj, 0)
+    return adj
+
+
+def _diameter_of_components(g):
+    dist = gr.all_pairs_graph_distance(g)
+    return int(dist[dist < gr.UNREACHABLE].max(initial=1))
+
+
+def _assert_power_graphs_equal_reference(g, ks):
+    for k in ks:
+        got = gr.power_graph(g, k).adjacency
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, float32_power_graph(g, k)), k
+
+
 def _power_graphs_match_distances(g):
     dist = gr.all_pairs_graph_distance(g)
     diam = int(dist[dist < gr.UNREACHABLE].max(initial=1))
@@ -103,8 +132,8 @@ def _power_graphs_match_distances(g):
 
 @pytest.mark.parametrize("space", AXIOM_SPACES, ids=lambda s: s.name)
 def test_power_graph_equals_distance_threshold(space):
-    """The k - 1 products reach exactly the pairs at distance 1..k, up to
-    one past the diameter."""
+    """The k - 1 bitset passes reach exactly the pairs at distance 1..k, up
+    to one past the diameter."""
     _power_graphs_match_distances(gr.build_distance_graph(space))
 
 
@@ -112,8 +141,92 @@ def test_power_graph_equals_distance_threshold_on_random_draws():
     for idx, (space, rng) in enumerate(_random_instances()):
         if idx == 100:
             break
-        diam = _power_graphs_match_distances(gr.build_distance_graph(space))
+        g = gr.build_distance_graph(space)
+        diam = _power_graphs_match_distances(g)
+        _assert_power_graphs_equal_reference(g, range(1, diam + 2))
         rng.randrange(1, min(3, max(1, diam)) + 1)  # draw k as criterion 9 does: same draws
+
+
+def test_power_graph_equals_float32_reference_on_table_rows():
+    rows = 0
+    for tid, metric in tables.TABLE_METRIC.items():
+        for row in tables.load_fixture(tid):
+            g = gr.build_distance_graph(tables.make_space(metric, **row))
+            _assert_power_graphs_equal_reference(g, [int(row["k"])])
+            rows += 1
+    assert rows == 69
+
+
+def random_irregular_graph(seed):
+    """A random graph with isolated vertices (so irregular and disconnected)
+    and a vertex count that is not a multiple of 8."""
+    rng = np.random.default_rng(seed)
+    n = 8 * int(rng.integers(0, 8)) + int(rng.integers(3, 8))
+    upper = np.triu(rng.random((n, n)) < rng.uniform(0.03, 0.3), 1)
+    adj = (upper | upper.T).astype(np.uint8)
+    isolated = rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False)
+    adj[isolated, :] = 0
+    adj[:, isolated] = 0
+    u, v = np.setdiff1d(np.arange(n), isolated)[:2]  # at least one edge
+    adj[u, v] = adj[v, u] = 1
+    return gr.Graph(adj)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_power_graph_equals_float32_reference_on_irregular_graphs(seed):
+    g = random_irregular_graph(seed)
+    assert g.n_vertices % 8 and not g.is_regular()
+    assert (gr.all_pairs_graph_distance(g) == gr.UNREACHABLE).any()
+    _assert_power_graphs_equal_reference(g, range(1, _diameter_of_components(g) + 2))
+
+
+def test_power_graph_on_graphs_without_edges():
+    for n in (0, 1, 3, 9):
+        g = gr.Graph(np.zeros((n, n), dtype=np.uint8))
+        for k in (1, 2, 3):
+            assert gr.power_graph(g, k).adjacency.shape == (n, n)
+            assert not gr.power_graph(g, k).adjacency.any()
+
+
+@pytest.mark.parametrize("rows_per_block", [0, 3, 5])
+def test_power_graph_gathers_across_blocks(monkeypatch, rows_per_block):
+    """A budget below one row's gather, or of a few rows that do not divide
+    the vertex count, splits each pass into many blocks; the result is
+    unchanged."""
+    graphs = [gr.build_distance_graph(mt.CityBlockSpace(4, 3)), random_irregular_graph(7),
+              gr.build_distance_graph(mt.VarshamovSpace(6))]
+    for g in graphs:
+        a = g.adjacency
+        row_bytes = (a.sum(axis=1).max() + 1) * ((len(a) + 7) // 8)
+        monkeypatch.setattr(gr, "GATHER_BYTES", int(rows_per_block * row_bytes))
+        assert len(a) > max(rows_per_block, 1) * 4
+        _assert_power_graphs_equal_reference(g, range(1, _diameter_of_components(g) + 2))
+
+
+def test_power_graph_gather_stays_within_its_budget(monkeypatch):
+    """On a dense graph an unblocked pass gathers V x (delta + 1) packed rows
+    at once; under a small budget numpy's traced peak drops by most of that
+    gather, and the result is unchanged."""
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.random((400, 400)) < 0.5, 1)
+    g = gr.Graph((upper | upper.T).astype(np.uint8))
+    gather = 400 * (int(g.degree_list.max()) + 1) * (400 // 8)
+
+    def traced_peak(budget):
+        monkeypatch.setattr(gr, "GATHER_BYTES", budget)
+        tracemalloc.start()
+        try:
+            adj = gr.power_graph(g, 2).adjacency
+            return adj, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole, whole_peak = traced_peak(2 * gather)
+    blocked, blocked_peak = traced_peak(2**14)
+    assert np.array_equal(blocked, float32_power_graph(g, 2))
+    assert np.array_equal(whole, blocked)
+    assert whole_peak > gather
+    assert blocked_peak < whole_peak - gather / 2, (blocked_peak, whole_peak, gather)
 
 
 def test_graph_layer_does_no_field_vector_arithmetic(monkeypatch):
@@ -170,6 +283,21 @@ def test_automorphism_generators_are_automorphisms(metric, params):
     assert gens
     for gen in gens:
         assert gr._is_automorphism(g, gen)
+
+
+def test_is_automorphism_rejects_non_permutations():
+    g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])  # C_5
+    rotation = [1, 2, 3, 4, 0]
+    assert gr._is_automorphism(g, rotation)
+    assert gr._is_automorphism(g, np.array(rotation))
+    assert gr._is_automorphism(g, [4, 3, 2, 1, 0])  # a reflection
+    assert not gr._is_automorphism(g, rotation[:4])  # wrong length
+    assert not gr._is_automorphism(g, rotation + [0])
+    assert not gr._is_automorphism(g, [rotation])
+    assert not gr._is_automorphism(g, [1, 1, 3, 4, 0])  # repeated entry
+    assert not gr._is_automorphism(g, [1, 2, 3, 4, 5])  # out of range
+    assert not gr._is_automorphism(g, [1, 2, 3, 4, -1])
+    assert not gr._is_automorphism(g, [2, 1, 0, 3, 4])  # maps edge {0, 4} to {2, 4}
 
 
 def test_oracle_inputs_never_enumerate_elements(monkeypatch):

@@ -404,17 +404,21 @@ def test_cli_determinism():
 
 @pytest.mark.parametrize("argv,inertia", [
     (["city-block", "--m", "5", "--n", "2", "--k", "4"], "4"),
+    (["city-block", "--m", "5", "--n", "2", "--k", "2"], "10"),
     (["varshamov", "--n", "6", "--k", "3"], "3"),
-], ids=["city-block", "varshamov"])
+], ids=["city-block", "city-block-k2", "varshamov"])
 def test_cli_json_stdout_holds_only_the_row(argv, inertia):
-    """Both instances solve their inertia program as one HiGHS MILP, and
-    HiGHS's MIP solver writes to file descriptor 1 on the city-block
-    instance; none of it may reach the JSON on stdout.  scipy's warning
-    about the HiGHS option it passes on verbatim must not reach stderr
-    either."""
+    """Every instance solves its inertia program as one HiGHS MILP.  On city
+    block (5,2), k = 2, HiGHS's MIP solver prints two
+    `transformNewIntegerFeasibleSolution` lines through C stdio; none of it
+    may reach the JSON on stdout.  The CLI runs in a minimal environment,
+    so no inherited PYTHONUNBUFFERED makes C stdio unbuffered and hides
+    text HiGHS leaves in its buffer.  scipy's warning about the HiGHS
+    option it passes on verbatim must not reach stderr either."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = {name: os.environ[name] for name in ("PATH", "HOME") if name in os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "eigenbounds.cli", "bound", *argv,
          "--bounds", "inertia", "--format", "json"],
