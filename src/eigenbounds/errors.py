@@ -36,7 +36,7 @@ class NotSymmetric(EigenboundsError):
 
 
 class AsymmetricConnectingSet(EigenboundsError):
-    """A Cayley connecting set is not closed under negation (or contains 0)."""
+    """A Cayley connecting set holds 0 or a repeat, or is not a union of GF(p)^* orbits."""
 
 
 class NumericalInconsistency(EigenboundsError):

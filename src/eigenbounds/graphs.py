@@ -26,7 +26,7 @@ from .metrics import MetricSpace, enumerate_ambient
 MAX_DENSE_VERTICES = 2**14
 MAX_NODES = 4_000_000  # default alpha-oracle budget, in branch-and-bound nodes
 UNREACHABLE = 2**30  # sentinel exceeding any metric value
-GATHER_BYTES = 2**24  # cap on the neighbour-row gather `power_graph` holds at once
+GATHER_BYTES = 2**24  # bytes per block: power_graph's gather, Graph's strips, spectra's counts
 
 
 @dataclass
@@ -40,7 +40,9 @@ class Graph:
         a = self.adjacency
         if a.shape[0] != a.shape[1] or np.any(np.diagonal(a)):
             raise ValueError("adjacency must be square with zero diagonal")
-        if not np.array_equal(a, a.T):
+        t = max(1, GATHER_BYTES // max(len(a), 1))  # rows per upper-triangle strip
+        if not all(np.array_equal(a[lo:lo + t, lo:], a[lo:, lo:lo + t].T)
+                   for lo in range(0, len(a), t)):
             raise ValueError("adjacency must be symmetric")
 
     @property

@@ -1,9 +1,9 @@
-"""Adjacency spectra: closed forms, abelian-Cayley character sums, and a
+"""Adjacency spectra: closed forms, abelian-Cayley character counts, and a
 dense numeric route, plus multiplicity grouping.
 
-Exact spectra carry integer eigenvalues (the Cayley/phase-rotation cases);
-float spectra come from the eigensolver or the city-block cosine formula
-and are grouped with a relative tolerance.
+Exact spectra carry integer eigenvalues (phase rotation's closed form, the
+field metrics' character counts); float spectra come from the eigensolver
+or the city-block cosine formula and are grouped with a relative tolerance.
 """
 
 from __future__ import annotations
@@ -16,12 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import FieldVector
-from .errors import (
-    AmbientTooLarge,
-    AsymmetricConnectingSet,
-    NotSymmetric,
-    NumericalInconsistency,
-)
+from .errors import AmbientTooLarge, AsymmetricConnectingSet, NotSymmetric
+from .graphs import GATHER_BYTES
 
 CITY_BLOCK_GROUP_TOL = 1e-9
 EIGENSOLVER_GROUP_TOL = 1e-8
@@ -148,12 +144,14 @@ def phase_rotation_spectrum(q: int, n: int) -> Spectrum:
 
 def cayley_spectrum_abelian(q: int, n: int,
                             connecting_set: Sequence[FieldVector]) -> Spectrum:
-    """Spectrum of the Cayley graph on F_q^n via character sums.
+    """Exact spectrum of the Cayley graph on F_q^n, by counting.
 
-    Each character r gives the eigenvalue sum_{s in S} zeta_p^<r, s> where
-    the pairing runs over the (Z/p)^(k*n) digit coordinates.  Imaginary
-    parts must cancel (S symmetric); near-integer real parts produce an
-    exact spectrum, anything else is grouped as floats.
+    Characters r are digit vectors of (Z/p)^(k*n).  S must be a union of
+    GF(p)^* orbits; with one representative rho per orbit (first nonzero
+    digit 1), R of them, each orbit adds p - 1 to r's character sum where
+    <r, rho> = 0 mod p and -1 elsewhere, so r's eigenvalue is p*Z(r) - R,
+    Z(r) = #{rho : <r, rho> = 0 mod p}.  Each array a block of characters
+    builds stays within GATHER_BYTES.
     """
     if not connecting_set:
         raise AsymmetricConnectingSet("empty connecting set")
@@ -162,36 +160,29 @@ def cayley_spectrum_abelian(q: int, n: int,
         raise AsymmetricConnectingSet("connecting set not over GF(q)")
     if q**n > 2**20:
         raise AmbientTooLarge(f"{q}^{n} characters exceed the 2^20 guard")
-    seen = {s.coords for s in connecting_set}
-    for s in connecting_set:
-        if s.is_zero():
-            raise AsymmetricConnectingSet("0 in connecting set")
-        if (-s).coords not in seen:
-            raise AsymmetricConnectingSet("connecting set not closed under negation")
-
     p = field.p
-    # coordinates of each s in the additive group (Z/p)^(k*n)
     coords = np.array([s.coords for s in connecting_set], dtype=np.intp)
-    s_digits = field.digits[coords].reshape(len(connecting_set), -1)
-    dim = s_digits.shape[1]
-    # all q^n characters = all digit vectors of (Z/p)^dim, counting order
-    chars = np.zeros((q**n, dim), dtype=np.int64)
-    idx = np.arange(q**n)
-    for j in range(dim):
-        chars[:, j] = idx % p
-        idx = idx // p
-    phases = (chars @ s_digits.T) % p
-    lam = np.exp(2j * math.pi / p) ** phases
-    lam = lam.sum(axis=1)
-    if np.abs(lam.imag).max(initial=0.0) > 1e-9:
-        raise NumericalInconsistency("character sums have residual imaginary part")
-    real = lam.real
-    rounded = np.rint(real)
-    if np.abs(real - rounded).max(initial=0.0) <= 1e-6:
-        counts: dict[int, int] = {}
-        for v in rounded.astype(np.int64).tolist():
-            counts[v] = counts.get(v, 0) + 1
-        distinct = tuple(sorted(counts, reverse=True))
-        return Spectrum(distinct, tuple(counts[t] for t in distinct), exact=True)
-    real.sort()
-    return group_multiplicities(real[::-1].tolist(), tol=EIGENSOLVER_GROUP_TOL)
+    digits = field.digits[coords].reshape(len(connecting_set), -1)
+    lead = digits[np.arange(len(digits)), (digits != 0).argmax(axis=1)]
+    if not lead.all():
+        raise AsymmetricConnectingSet("0 in connecting set")
+    if len(np.unique(digits, axis=0)) != len(digits):
+        raise AsymmetricConnectingSet("repeated vector in connecting set")
+    # lead < p is a GF(p) element, so its field inverse is a digit too
+    reps = np.unique(digits * field.inv_table[lead][:, None] % p, axis=0)
+    orbits = len(reps)
+    if len(digits) != (p - 1) * orbits:
+        raise AsymmetricConnectingSet("connecting set not a union of GF(p)^* orbits")
+    # r = (low digits | high digits): a block pairs all low parts with one high part
+    dim = digits.shape[1]
+    split = dim
+    while split and p**split * max(split, orbits) * 8 > GATHER_BYTES:
+        split -= 1
+    low = np.arange(p**split)[:, None] // p ** np.arange(split) % p @ reps[:, :split].T % p
+    weights = p ** np.arange(dim - split)
+    z_counts = np.zeros(orbits + 1, dtype=np.int64)
+    for high in range(p ** (dim - split)):
+        target = -(high // weights % p @ reps[:, split:].T) % p
+        z_counts += np.bincount(np.count_nonzero(low == target, axis=1), minlength=orbits + 1)
+    z = np.flatnonzero(z_counts)[::-1]
+    return Spectrum(tuple((p * z - orbits).tolist()), tuple(z_counts[z].tolist()), exact=True)

@@ -188,6 +188,21 @@ def test_power_graph_on_graphs_without_edges():
             assert not gr.power_graph(g, k).adjacency.any()
 
 
+@pytest.mark.parametrize("entry", [(57, 83), (83, 57), (98, 99), (99, 0), (0, 99), (10, 9)])
+def test_graph_symmetry_check_reads_every_strip(monkeypatch, entry):
+    """`Graph` compares the upper triangle with the lower one in strips of
+    rows; under a budget of 10-row strips a single asymmetric entry, in the
+    first strip or outside it, is refused, and a symmetric matrix is accepted."""
+    monkeypatch.setattr(gr, "GATHER_BYTES", 10 * 100)
+    rng = np.random.default_rng(4)
+    upper = np.triu(rng.random((100, 100)) < 0.3, 1)
+    a = (upper | upper.T).astype(np.uint8)
+    gr.Graph(a)
+    a[entry] ^= 1
+    with pytest.raises(ValueError, match="symmetric"):
+        gr.Graph(a)
+
+
 @pytest.mark.parametrize("rows_per_block", [0, 3, 5])
 def test_power_graph_gathers_across_blocks(monkeypatch, rows_per_block):
     """A budget below one row's gather, or of a few rows that do not divide

@@ -191,6 +191,14 @@ def test_cli_spectrum_in_the_largest_prime_field():
     assert code == 0 and text == "{3060:1, 1018:3060, -3:1039380}\n"
 
 
+def test_cli_spectrum_of_a_block_space_in_the_largest_prime_field():
+    """Block GF(1021)^2 with partition 1|2: 1,042,441 characters and 2,040
+    connecting vectors.  A V x |S| phase matrix would take 17 GB as int64;
+    the character count holds two orbit representatives."""
+    code, text = run_cli(["spectrum", "block", "--q", "1021", "--partition", "1|2"])
+    assert code == 0 and text == "{2040:1, 1019:2040, -2:1040400}\n"
+
+
 def test_linear_code_hints():
     """For every field-metric row of tables 3-5 the linear-code hint for the
     row's smallest bound is independent in the power graph; on three rows it
