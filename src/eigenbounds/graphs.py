@@ -121,14 +121,17 @@ def power_graph(g: Graph, k: int) -> Graph:
     k - 1 passes, O(k V^2 delta / 8) byte operations.  The neighbour table
     is padded with the row's own vertex, so every row has the same width,
     and each pass gathers rows in blocks of at most GATHER_BYTES (at least
-    one row).  The diagonal is cleared at the end.
+    one row).  The diagonal is cleared at the end.  G^1 is G: k = 1 returns
+    `g` itself.
     """
     if k < 1:
         raise ValueError("k >= 1 required")
+    if k == 1:
+        return g
     a = g.adjacency
     n = len(a)
     reach = np.packbits(a, axis=1, bitorder="little")
-    if k > 1 and n:
+    if n:
         deg = g.degree_list
         width = int(deg.max()) + 1
         nbr = np.repeat(np.arange(n), width).reshape(n, width)
@@ -224,8 +227,9 @@ class _BoundReached(Exception):
     """The incumbent reached the caller's upper bound, so it is maximum."""
 
 
-def _greedy_clique_cover(cand: int, adj: list[int]) -> list[tuple[int, int]]:
-    """Greedy (first-fit) clique cover of the candidate set.
+def _greedy_clique_cover(cand: int, adj: list[int], floor: int) -> list[tuple[int, int]]:
+    """Greedy (first-fit) clique cover of the candidate set, listing only
+    the classes above `floor`.
 
     Returns (vertex, cover_index) sorted by cover index: every vertex before
     position i lies in one of the first cover_index(v_i) cliques, so the
@@ -235,7 +239,10 @@ def _greedy_clique_cover(cand: int, adj: list[int]) -> list[tuple[int, int]]:
     Classes are built one at a time on bitsets (BBMC style): the lowest
     remaining vertex starts a class, which then keeps the lowest vertex
     adjacent to every member so far.  That is first-fit in ascending vertex
-    order, one class at a time.
+    order, one class at a time.  Classes 1..floor are built the same way
+    but not listed (MCQ/BBMC's k_min): the search passes best - size, and
+    a vertex whose cover index is at most that bound cannot lead to a
+    larger set, so it is never branched on.
     """
     order: list[tuple[int, int]] = []
     rest = cand
@@ -246,7 +253,8 @@ def _greedy_clique_cover(cand: int, adj: list[int]) -> list[tuple[int, int]]:
         while q:
             low = q & -q
             v = low.bit_length() - 1
-            order.append((v, color))
+            if color > floor:
+                order.append((v, color))
             rest ^= low
             q &= adj[v]
     return order
@@ -303,24 +311,31 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
     upper bound); vertices are pre-sorted by descending degree so the
     search is deterministic given the canonical vertex order.
 
-    `initial` may carry candidate vertex sets used as starting incumbents;
-    each is validated against the adjacency matrix before use, so an
-    invalid hint is ignored rather than trusted.  `automorphism_generators`
-    may carry vertex permutations (validated as automorphisms, invalid ones
-    dropped); they drive orbital branching at every depth.  Each node holds
-    generators of a group that fixes `chosen` pointwise and maps `cand`
-    onto itself.  Once vertex v's branch is done, v's whole orbit under
-    that group leaves `cand`, and v's child gets the generators that fix v.
-    This is exact: the removed orbits are invariant under the group, so
-    `cand` stays invariant, and so does every child's candidate set under
-    the child's generators.  Any independent set in `cand` that meets v's
-    orbit maps, under some group element, onto one of the same size that
-    contains v, so v's branch has already covered it.  Without generators
-    the orbit is v alone and this is the plain clique-cover search.
+    `initial` may carry candidate vertex sets (any iterable, read once) used
+    as starting incumbents.  They are validated first, on the adjacency
+    matrix: a hint with an index outside 0..n-1 (a negative index too) or
+    with an edge inside it is dropped, not trusted.  The longest valid hint
+    replaces the greedy incumbent only if it is strictly larger.
+
+    `automorphism_generators` may carry vertex permutations (validated as
+    automorphisms, invalid ones dropped); they drive orbital branching at
+    every depth.  Each node holds generators of a group that fixes `chosen`
+    pointwise and maps `cand` onto itself.  Once vertex v's branch is done,
+    v's whole orbit under that group leaves `cand`, and v's child gets the
+    generators that fix v.  This is exact: the removed orbits are invariant
+    under the group, so `cand` stays invariant, and so does every child's
+    candidate set under the child's generators.  Any independent set in
+    `cand` that meets v's orbit maps, under some group element, onto one of
+    the same size that contains v, so v's branch has already covered it.
+    Without generators the orbit is v alone and this is the plain
+    clique-cover search.
 
     `upper_bound` may carry a proven bound on alpha: the search stops with
-    exact=True and certified=True as soon as the incumbent reaches it.  An
-    incumbent above it means the bound is wrong, and raises InternalError.
+    exact=True and certified=True as soon as the incumbent reaches it.  A
+    hint that reaches it certifies before any search set-up (degree order,
+    bit rows, greedy passes) and before `automorphism_generators` is read,
+    at 0 nodes.  An incumbent above it means the bound is wrong, and raises
+    InternalError.
 
     The search expands at most `max_nodes` nodes; if it needs more, the best
     set found so far is returned with exact=False.
@@ -328,8 +343,15 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
     n = g.n_vertices
     if n == 0:
         return IndependentSetResult(0, (), True)
+    a = g.adjacency
+    hints = [h for h in (sorted(set(hint)) for hint in initial)
+             if h and 0 <= h[0] and h[-1] < n and not a[h][:, h].any()]
+    hint = max(hints, key=len, default=[])
+    if hint and len(hint) == upper_bound:  # a longer one, or a greedy set, raises below
+        return IndependentSetResult(len(hint), tuple(hint), True, 0, True)
+
     perm = np.argsort(-g.degree_list, kind="stable")  # descending degree, then index
-    adj = _row_bitmasks(g.adjacency[perm][:, perm])
+    adj = _row_bitmasks(a[perm][:, perm])
     perm = perm.tolist()
     pos = [0] * n
     for p, v in enumerate(perm):
@@ -340,18 +362,8 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
     other = _greedy_independent(full, adj, reverse=True)
     if bin(other).count("1") > bin(best_mask).count("1"):
         best_mask = other
-    for hint in initial:
-        hmask = 0
-        for v in hint:
-            hmask |= 1 << pos[v]
-        ok, rest = True, hmask
-        while ok and rest:  # direct adjacency validation; bad hints are dropped
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if hmask & adj[v]:
-                ok = False
-        if ok and bin(hmask).count("1") > bin(best_mask).count("1"):
-            best_mask = hmask
+    if len(hint) > bin(best_mask).count("1"):
+        best_mask = sum(1 << pos[v] for v in hint)
 
     best = [bin(best_mask).count("1"), best_mask]
     stop = n + 1 if upper_bound is None else upper_bound
@@ -367,7 +379,7 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
         if nodes[0] >= max_nodes:
             raise BudgetExceeded
         nodes[0] += 1
-        for v, bound in reversed(_greedy_clique_cover(cand, adj)):
+        for v, bound in reversed(_greedy_clique_cover(cand, adj, best[0] - size)):
             if size + bound <= best[0]:
                 return
             if not (cand >> v) & 1:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import FieldVector
-from .errors import AmbientTooLarge, AsymmetricConnectingSet, NotSymmetric
+from .errors import AmbientTooLarge, AsymmetricConnectingSet, DimensionMismatch, NotSymmetric
 from .graphs import GATHER_BYTES
 
 CITY_BLOCK_GROUP_TOL = 1e-9
@@ -163,6 +163,8 @@ def cayley_spectrum_abelian(q: int, n: int,
     p = field.p
     coords = np.array([s.coords for s in connecting_set], dtype=np.intp)
     digits = field.digits[coords].reshape(len(connecting_set), -1)
+    if digits.shape[1] != field.k * n:
+        raise DimensionMismatch(f"connecting set vectors are not of length n = {n}")
     lead = digits[np.arange(len(digits)), (digits != 0).argmax(axis=1)]
     if not lead.all():
         raise AsymmetricConnectingSet("0 in connecting set")

@@ -79,9 +79,11 @@ def test_geodesic_equals_metric(space):
 
 def test_power_graph_properties():
     g = gr.build_distance_graph(pr_space(3, 2))
-    assert np.array_equal(gr.power_graph(g, 1).adjacency, g.adjacency)
+    assert gr.power_graph(g, 1) is g  # G^1 = G, no pack/unpack round trip
     p3 = graph_from_edges(3, [(0, 1), (1, 2)])
-    assert gr.power_graph(p3, 2).edge_list() == [(0, 1), (0, 2), (1, 2)]  # K_3
+    assert gr.power_graph(p3, 1) is p3
+    square = gr.power_graph(p3, 2)
+    assert square is not p3 and square.edge_list() == [(0, 1), (0, 2), (1, 2)]  # K_3
     # k >= diameter -> complete
     dist = gr.all_pairs_graph_distance(g)
     full = gr.power_graph(g, int(dist.max()))
@@ -540,6 +542,18 @@ def test_mis_bad_hint_is_ignored():
     assert res.alpha == 2
 
 
+@pytest.mark.parametrize("bad", [-1, 6])
+@pytest.mark.parametrize("bound", [None, 3])
+def test_mis_drops_hints_with_indices_outside_the_graph(bad, bound):
+    """An index outside 0..n-1 drops its hint: n used to raise IndexError and
+    -1 was read as vertex n - 1.  `initial` may be an iterator."""
+    path = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    res = gr.max_independent_set(path, initial=iter([[0, 2, bad]]), upper_bound=bound)
+    assert (res.alpha, res.exact, res.certified) == (3, True, bound == 3)
+    assert all(0 <= v < 6 for v in res.certificate)
+    assert not path.adjacency[np.ix_(res.certificate, res.certificate)].any()
+
+
 def test_mis_node_budget_inexact():
     rng = random.Random(3)
     n = 120
@@ -600,6 +614,7 @@ def _first_fit_clique_cover(cand, adj):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_clique_cover_equals_first_fit(seed):
+    """At every floor the cover lists exactly the first-fit classes above it."""
     rng = random.Random(seed)
     for _ in range(60):
         n = rng.randrange(1, 80)
@@ -608,7 +623,10 @@ def test_clique_cover_equals_first_fit(seed):
                                  if rng.random() < density])
         adj = g.adjacency_bitmasks()
         cand = rng.getrandbits(n)
-        assert gr._greedy_clique_cover(cand, adj) == _first_fit_clique_cover(cand, adj)
+        reference = _first_fit_clique_cover(cand, adj)
+        for floor in range(6):
+            assert gr._greedy_clique_cover(cand, adj, floor) == \
+                [(v, c) for v, c in reference if c > floor]
 
 
 def test_adjacency_bitmasks_match_loop():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eigenbounds.algebra import FieldVector, make_field, ones_vector, unit_vector
-from eigenbounds.errors import AsymmetricConnectingSet, NotSymmetric
+from eigenbounds.errors import AsymmetricConnectingSet, DimensionMismatch, NotSymmetric
 from eigenbounds import graphs as gr
 from eigenbounds import metrics as mt
 from eigenbounds import spectra
@@ -153,6 +153,18 @@ def test_cayley_refuses_a_repeated_vector():
         cayley_spectrum_abelian(3, 2, [v, v])
     with pytest.raises(AsymmetricConnectingSet, match="repeated"):
         cayley_spectrum_abelian(3, 2, [v, -v, -v, v])
+
+
+def test_cayley_refuses_vectors_not_of_length_n():
+    """The 2^20 guard reads q^n, so vectors longer than n would count
+    q^length characters (here 2^22) and shorter ones a smaller group."""
+    with pytest.raises(DimensionMismatch):
+        cayley_spectrum_abelian(2, 1, [unit_vector(F2, 22, i) for i in range(22)])
+    f5 = make_field(5)
+    sphere = [unit_vector(f5, 3, i).scale(c) for i in range(3) for c in f5.nonzero()]
+    with pytest.raises(DimensionMismatch):
+        cayley_spectrum_abelian(5, 5, sphere)
+    assert cayley_spectrum_abelian(5, 3, sphere).n == 125
 
 
 def complex_character_spectrum(q: int, n: int, connecting_set) -> Spectrum:

@@ -339,6 +339,39 @@ def test_table_oracle_node_count_is_pinned(monkeypatch):
     assert (len(nodes), sum(nodes)) == (69, 9499)
 
 
+def test_table_oracle_builds_bit_rows_only_where_it_searches(monkeypatch):
+    """A work counter that holds on any machine: over tables 3-5 the oracle
+    runs 41 times, and a linear-code hint reaching the proven bound
+    certifies 31 of them before the search set-up, so bit rows are built
+    for the other 10."""
+    counts = dict.fromkeys(("oracle", "bit_rows"), 0)
+
+    def counting(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+    monkeypatch.setattr(gr, "max_independent_set", counting("oracle", gr.max_independent_set))
+    monkeypatch.setattr(gr, "_row_bitmasks", counting("bit_rows", gr._row_bitmasks))
+    assert all(tables.verify_table(t) for t in (3, 4, 5))
+    assert counts == {"oracle": 41, "bit_rows": 10}
+
+
+def test_hint_at_the_bound_certifies_before_search_set_up(monkeypatch):
+    """Phase rotation (5,4), k=2: the linear-code hint reaches the ratio
+    bound 25, so the row needs no bit rows, no greedy pass and no symmetry
+    generators."""
+    def unused(*args, **kwargs):
+        raise AssertionError("search set-up ran")
+    for name in ("_row_bitmasks", "_greedy_independent"):
+        monkeypatch.setattr(gr, name, unused)
+    monkeypatch.setattr(tables, "automorphism_generators", unused)
+    row = tables.compute_row(tables.make_space("phase-rotation", q=5, n=4), 2,
+                             ["inertia", "ratio", "singleton"])
+    assert (row.cell("alpha"), row.certified_by, row.oracle.nodes) == ("25", "ratio", 0)
+    assert row.oracle.exact and row.oracle.certified
+
+
 def test_table_exact_lp_work_is_pinned(monkeypatch):
     """Work counters of the exact LPs on tables 3-5 (exact spectra): the
     best-first searches try 73 patterns, 13 of them pruned by a Farkas
