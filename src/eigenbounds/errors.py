@@ -40,7 +40,9 @@ class AsymmetricConnectingSet(EigenboundsError):
 
 
 class NumericalInconsistency(EigenboundsError):
-    """A floating-point cross-check failed beyond its tolerance."""
+    """A floating-point cross-check failed beyond its tolerance, or a float
+    inertia MILP's point could not be made an exact witness of its
+    pattern."""
 
 
 class TooLarge(EigenboundsError):

@@ -283,7 +283,8 @@ def _is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
     if p.shape != (g.n_vertices,) or not np.array_equal(np.sort(p), np.arange(len(p))):
         return False
     a = g.adjacency
-    return bool(np.array_equal(a[p][:, p], a))
+    # np.take gathers into C order; a[p][:, p] comes back column-strided
+    return bool(np.array_equal(np.take(a[p], p, axis=1), a))
 
 
 def _orbit(v: int, gens: list[list[int]]) -> int:
@@ -351,7 +352,7 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
         return IndependentSetResult(len(hint), tuple(hint), True, 0, True)
 
     perm = np.argsort(-g.degree_list, kind="stable")  # descending degree, then index
-    adj = _row_bitmasks(a[perm][:, perm])
+    adj = _row_bitmasks(np.take(a[perm], perm, axis=1))  # C order, as at `_is_automorphism`
     perm = perm.tolist()
     pos = [0] * n
     for p, v in enumerate(perm):

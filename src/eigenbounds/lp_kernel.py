@@ -2,11 +2,12 @@
 rule over standard-form programs (every variable x >= 0; callers split a
 free variable into two columns), a feasibility front end that reports
 Farkas row supports, and the best-first binary enumeration that the
-inertia searches run.
+inertia searches run on exact spectra.
 
-Every result is exact: programs hold rationals (the callers rationalize
-any floating-point spectra at fixed 2^40 denominators, see
-spectral_bounds).  Each program is scaled once to integers, by the lcm of
+Every result is exact: programs hold rationals, and in this package they
+come from exact spectra only (a float-spectrum inertia search confirms
+its MILP's point without an LP, and the ratio LP refuses a float
+spectrum).  Each program is scaled once to integers, by the lcm of
 its denominators, and pivoted fraction-free (Edmonds 1967; Bareiss 1968):
 one integer tableau over one common denominator, every division exact.
 The logical tableau, and so every pivot Bland's rule picks, is the one a

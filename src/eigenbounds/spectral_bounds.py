@@ -15,15 +15,16 @@ first feasible one is optimal.  Float spectra solve the big-M form as one
 HiGHS MILP (see `_propose_pattern`) and confirm its proposal from the
 MILP's own point, made exact (`_PatternOracle.pin`): any exact p that
 satisfies the pattern's rows proves it, so no optimality proof is needed
-(Abiad, Coutinho & Fiol, Discrete Math. 2019).  Only a point that cannot
-be pinned runs one exact-rational min-norm LP on the exact simplex, and
-a pattern that LP finds infeasible falls back to the best-first search;
-a reported value always comes from an exactly confirmed pattern, and the
-witness names the route in "confirmed_by" ("milp_point" or "simplex").
-The best-first search's feasibility LPs and the ratio LP always use the
-exact simplex.  Exact here means integer: `lp_kernel` scales each
-program to integers once and pivots fraction-free, taking the pivots a
-rational tableau would take.
+(Abiad, Coutinho & Fiol, Discrete Math. 2019).  A point that cannot be
+pinned raises NumericalInconsistency; a reported value always comes from
+an exactly confirmed pattern.  The best-first search's feasibility LPs
+and the ratio LP use the exact simplex.  Exact here means integer:
+`lp_kernel` scales each program to integers once and pivots
+fraction-free, taking the pivots a rational tableau would take.
+
+The Ratio-type bounds take exact spectra only and raise NotApplicable on
+a float one: only the field metrics get them, and their spectra are
+exact.
 
 The MILPs run with HiGHS's root primal heuristic Feasibility Jump off
 (`mip_heuristic_run_feasibility_jump=False`): on tables 2 and 6 it took
@@ -36,9 +37,10 @@ the option to HiGHS verbatim; a HiGHS build that does not know it warns
 ("Unrecognized options detected") and skips it, so the MILPs then run as
 before, with the heuristic.
 
-Floating spectra (city block, Varshamov) enter the LPs through eigenvalue
-powers rationalized at denominator 2^40 (error < 1e-12); the winning
-polynomial is re-checked in floating point with slack 1e-6.
+Floating spectra (city block, Varshamov) enter the inertia programs
+through eigenvalue powers rationalized at denominator 2^40 (error
+< 1e-12); the winning polynomial is re-checked in floating point with
+slack 1e-6.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def rationalize(x) -> Fraction:
 @dataclass(frozen=True)
 class BoundReport:
     bound_name: str
-    raw_value: object  # Fraction or float
+    raw_value: Fraction
     k: int
     exact: bool
     witness: Optional[dict] = None
@@ -107,12 +109,7 @@ class BoundReport:
         return math.floor(self.raw_value)
 
     def as_json_dict(self) -> dict:
-        raw = self.raw_value
-        if isinstance(raw, Fraction):
-            raw_repr = str(raw.numerator) if raw.denominator == 1 else f"{raw.numerator}/{raw.denominator}"
-        else:
-            raw_repr = float(raw)
-        return {"bound": self.bound_name, "raw": raw_repr, "floored": self.floored,
+        return {"bound": self.bound_name, "raw": str(self.raw_value), "floored": self.floored,
                 "k": self.k, "exact": self.exact, "flags": list(self.flags)}
 
 
@@ -209,9 +206,7 @@ class _PatternOracle:
     search's test.  Infeasible patterns donate their Farkas row support as
     a core, and a later pattern whose zero-set contains a known core is
     rejected without an LP call.  `pin` turns the float MILP's point into
-    an exact witness of its pattern; `min_norm_witness` minimizes
-    sum(x+ + x-) over the same program, deciding the pattern and yielding
-    its witness in one exact simplex solve.
+    an exact witness of its pattern, solving no LP.
     """
 
     def __init__(self, base_rows: list, eig_table: list[list[Fraction]]):
@@ -249,10 +244,10 @@ class _PatternOracle:
         self.last_solution = self._coefficients(result.solution)
         return True
 
-    def pin(self, b: tuple, point: Sequence[float]) -> Optional[tuple[tuple, str]]:
-        """(exact coefficients of p satisfying every row of pattern b's
-        program, "milp_point"), made from the float coefficients `point`,
-        or None when the point cannot be pinned.
+    def pin(self, b: tuple, point: Sequence[float]) -> Optional[tuple]:
+        """Exact coefficients of p satisfying every row of pattern b's
+        program, made from the float coefficients `point`, or None when the
+        point cannot be pinned.
 
         The point is rationalized and a_0 set to the least value every base
         row allows: the base rows are homogeneous with a positive a_0
@@ -269,21 +264,7 @@ class _PatternOracle:
                    for j, bit in enumerate(b) if not bit), default=0)
         if top >= 0:
             return None
-        return tuple(x / -top for x in a), "milp_point"
-
-    def min_norm_witness(self, b: tuple) -> Optional[tuple[tuple, str]]:
-        """(coefficients of p minimizing sum |a_i| under pattern b,
-        "simplex"), or None when the pattern is infeasible.
-
-        Simplex vertices of the bare feasibility LP can carry huge
-        coefficients that defeat the floating re-check; the minimum-norm
-        solution is the natural robust witness.
-        """
-        zeros = [j for j, bit in enumerate(b) if not bit]
-        result = solve_lp(LinearProgram((Fraction(1),) * (2 * self.n_vars), self._program(zeros)))
-        if result.status == INFEASIBLE:
-            return None
-        return self._coefficients(result.solution), "simplex"
+        return tuple(x / -top for x in a)
 
 
 def _float_verify(spectrum: Spectrum, coeffs: Sequence[Fraction], b: tuple) -> None:
@@ -394,22 +375,23 @@ def _inertia_search(spectrum: Spectrum, base_rows: list, eig_table: list,
     """Lightest feasible pattern of the program with these base rows.
 
     Exact spectra: best-first search.  Float spectra: one HiGHS MILP
-    proposes a pattern and its point, pinned exactly, confirms it; a point
-    that cannot be pinned runs one exact min-norm LP, and a proposal that
-    LP rejects is replaced by the best-first search's optimum.
+    proposes a pattern and its point, pinned exactly, confirms it.  A
+    point that cannot be pinned raises NumericalInconsistency.  The MILP's
+    rows have coefficients of at most about 1 and ask p <= -1 on the
+    zeros, so a pin fails only if HiGHS breaks its own rows by about 1
+    (on tables 2 and 6 the pinned value stays at most -0.99999998).
     """
     oracle = _PatternOracle(base_rows, eig_table)
     if spectrum.exact:
         weight, b = lp_kernel.minimize_over_binaries(spectrum.mults, oracle, max_nodes)
         return weight, {"pattern": b, "polynomial": oracle.last_solution}
     weight, b, point = _propose_pattern(spectrum, oracle, max_nodes)
-    found = oracle.pin(b, point) or oracle.min_norm_witness(b)
-    if found is None:
-        weight, b = lp_kernel.minimize_over_binaries(spectrum.mults, oracle, max_nodes)
-        found = oracle.min_norm_witness(b)
-    coeffs, confirmed_by = found
+    coeffs = oracle.pin(b, point)
+    if coeffs is None:
+        raise NumericalInconsistency(
+            f"the inertia MILP's point does not satisfy its own pattern {b}")
     _float_verify(spectrum, coeffs, b)
-    return weight, {"pattern": b, "polynomial": coeffs, "confirmed_by": confirmed_by}
+    return weight, {"pattern": b, "polynomial": coeffs}
 
 
 def inertia_milp(g: Graph, spectrum: Spectrum, k: int,
@@ -467,6 +449,14 @@ def inertia_milp_walkreg(spectrum: Spectrum, k: int,
 # Ratio-type bound
 # ----------------------------------------------------------------------
 
+def _exact_eigenvalues(spectrum: Spectrum) -> list[Fraction]:
+    """The distinct eigenvalues as Fractions; NotApplicable on a float
+    spectrum, which the Ratio-type bounds do not take."""
+    if not spectrum.exact:
+        raise NotApplicable("the Ratio-type bounds need an exact spectrum")
+    return [Fraction(t) for t in spectrum.distinct]
+
+
 def ratio_type_bound(spectrum: Spectrum, p: Polynomial, big_w, k: int,
                      degrees: Optional[Sequence[int]] = None) -> BoundReport:
     """alpha_k <= n (W(p) - lambda(p)) / (p(theta_0) - lambda(p)).
@@ -481,15 +471,14 @@ def ratio_type_bound(spectrum: Spectrum, p: Polynomial, big_w, k: int,
         raise DegreeTooHigh(f"deg {p.degree} > k={k}")
     if spectrum.r < 1:
         raise TooFewEigenvalues("need at least two distinct eigenvalues")
-    exact = spectrum.exact
-    conv = (lambda t: Fraction(t)) if exact else float
-    p_top = poly_eval(p, conv(spectrum.distinct[0]))
-    lam = min(poly_eval(p, conv(t)) for t in spectrum.distinct[1:])
-    big_w = Fraction(big_w) if exact else float(big_w)
+    theta = _exact_eigenvalues(spectrum)
+    p_top = poly_eval(p, theta[0])
+    lam = min(poly_eval(p, t) for t in theta[1:])
+    big_w = Fraction(big_w)
     if not p_top > lam:
         raise AssumptionViolated("p(lambda_1) > lambda(p) fails")
     value = spectrum.n * (big_w - lam) / (p_top - lam)
-    return BoundReport("ratio_type", value, k, exact=exact,
+    return BoundReport("ratio_type", value, k, exact=True,
                        witness={"polynomial": p.coeffs, "lambda_p": lam, "W": big_w})
 
 
@@ -497,14 +486,13 @@ def ratio_alpha2_closed(spectrum: Spectrum) -> BoundReport:
     """Best degree-2 Ratio-type bound: pivot on the largest eigenvalue <= -1."""
     if spectrum.r < 2:
         raise TooFewEigenvalues("alpha_2 closed form needs r >= 2")
-    conv = (lambda t: Fraction(t)) if spectrum.exact else float
-    theta = [conv(t) for t in spectrum.distinct]
+    theta = _exact_eigenvalues(spectrum)
     idx = next((i for i, t in enumerate(theta) if t <= -1), None)
     if idx is None or idx == 0:
         raise NotApplicable("no eigenvalue <= -1 below theta_0")
     t0, ti, tim1 = theta[0], theta[idx], theta[idx - 1]
     value = spectrum.n * (t0 + ti * tim1) / ((t0 - ti) * (t0 - tim1))
-    return BoundReport("ratio_alpha2", value, 2, exact=spectrum.exact,
+    return BoundReport("ratio_alpha2", value, 2, exact=True,
                        witness={"theta_i": ti, "theta_im1": tim1})
 
 
@@ -512,8 +500,7 @@ def ratio_alpha3_closed(spectrum: Spectrum, delta: int) -> BoundReport:
     """Best degree-3 Ratio-type bound; delta = max diagonal of A^3."""
     if spectrum.r < 3:
         raise TooFewEigenvalues("alpha_3 closed form needs r >= 3")
-    conv = (lambda t: Fraction(t)) if spectrum.exact else float
-    theta = [conv(t) for t in spectrum.distinct]
+    theta = _exact_eigenvalues(spectrum)
     t0, tr = theta[0], theta[-1]
     if tr == -1:
         raise NotApplicable("theta_r = -1 makes the threshold undefined")
@@ -528,7 +515,7 @@ def ratio_alpha3_closed(spectrum: Spectrum, delta: int) -> BoundReport:
     num = delta - t0 * (ts + ts1 + tr) - ts * ts1 * tr
     den = (t0 - ts) * (t0 - ts1) * (t0 - tr)
     value = spectrum.n * num / den
-    return BoundReport("ratio_alpha3", value, 3, exact=spectrum.exact,
+    return BoundReport("ratio_alpha3", value, 3, exact=True,
                        witness={"theta_s": ts, "theta_s1": ts1, "threshold": threshold})
 
 
@@ -544,9 +531,7 @@ def minor_polynomial_lp(spectrum: Spectrum, k: int) -> BoundReport:
     at most r, so G^k is complete).
     """
     r = spectrum.r
-    theta = [rationalize(t) for t in spectrum.distinct]
-    if len(set(theta)) != len(theta):
-        raise NumericalInconsistency("rationalized eigenvalues collide")
+    theta = _exact_eigenvalues(spectrum)
     m0 = Fraction(spectrum.mults[0])
     flags = ()
     if k >= r:
@@ -567,7 +552,7 @@ def minor_polynomial_lp(spectrum: Spectrum, k: int) -> BoundReport:
                             "the interpolating minor polynomial is always feasible")
     value = result.value + m0
     witness = {"values": (Fraction(1),) + tuple(result.solution)}
-    return BoundReport("ratio_minor_lp", value, k, exact=spectrum.exact,
+    return BoundReport("ratio_minor_lp", value, k, exact=True,
                        witness=witness, flags=flags)
 
 

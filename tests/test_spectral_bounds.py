@@ -15,6 +15,7 @@ from eigenbounds.errors import (
     DegreeTooHigh,
     NotApplicable,
     NotRegular,
+    NumericalInconsistency,
     TooFewEigenvalues,
 )
 from eigenbounds import graphs as gr
@@ -189,7 +190,6 @@ def test_float_milp_route_equals_exact_best_first(metric, params, k, monkeypatch
     searches = _captured_searches(monkeypatch)
     rep = searched_inertia_milp(g, spec, k)
     assert_witness_certifies(g, spec, k, rep)
-    assert rep.witness["confirmed_by"] == "milp_point"
     (base_rows, eig_table, witness), = searches
     assert_witness_solves_program(base_rows, eig_table, witness)
     monkeypatch.setattr(sb, "_inertia_search", exact_search)
@@ -230,8 +230,9 @@ def assert_witness_solves_program(base_rows, eig_table, witness):
 ], ids=["phase-rotation-3-3-walkreg", "city-block-3-2-per-class"])
 def test_pattern_oracle_agrees_with_min_norm_witness(make_programs, monkeypatch):
     """On every pattern of the program: the feasibility oracle (with its
-    core pruning) and the min-norm LP agree, and both solutions satisfy
-    every row of the pattern exactly."""
+    core pruning) and a reference LP, minimizing sum |a_i| on the exact
+    simplex, agree, and both solutions satisfy every row of the pattern
+    exactly."""
     captured = []
 
     def capture(spectrum, base_rows, eig_table, max_nodes):
@@ -244,12 +245,14 @@ def test_pattern_oracle_agrees_with_min_norm_witness(make_programs, monkeypatch)
     oracle = sb._PatternOracle(base_rows, eig_table)
     feasible = 0
     for b in itertools.product((0, 1), repeat=len(eig_table)):
-        rows = list(base_rows) + [(eig_table[j], "<=", -1) for j, bit in enumerate(b) if not bit]
-        found = oracle.min_norm_witness(b)
-        assert oracle(b) == (found is not None), b
-        if found is not None:
+        zeros = [j for j, bit in enumerate(b) if not bit]
+        rows = list(base_rows) + [(eig_table[j], "<=", -1) for j in zeros]
+        min_norm = solve_lp(LinearProgram((Fraction(1),) * (2 * oracle.n_vars),
+                                          oracle._program(zeros)))
+        assert oracle(b) == (min_norm.status == lp_kernel.OPTIMAL), b
+        if min_norm.status == lp_kernel.OPTIMAL:
             feasible += 1
-            for a in (found[0], oracle.last_solution):
+            for a in (oracle._coefficients(min_norm.solution), oracle.last_solution):
                 assert all(_row_holds(*row, a) for row in rows), b
     assert 0 < feasible < 2 ** len(eig_table)
 
@@ -293,27 +296,28 @@ def test_joint_program_equals_per_class_minimum(metric, params, k, monkeypatch):
 
 
 def test_float_milp_rejected_proposal_falls_back_to_exact(monkeypatch):
+    """A proposal whose point cannot be pinned raises; the float route runs
+    no exact search or simplex in its place."""
     g, spec = float_instance("city-block", m=3, n=2)
     calls = []
-    best_first = lp_kernel.minimize_over_binaries
 
     def infeasible_proposal(spectrum, oracle, max_nodes):
         # p(theta) <= -1 at every eigenvalue contradicts diagonals of p(A) >= 0
         calls.append("proposal")
         return 0, (0,) * len(spectrum.distinct), np.ones(oracle.n_vars)
 
-    def recorded_best_first(*args):
-        calls.append("best-first")
-        return best_first(*args)
+    def unused(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran")
+        return call
 
     monkeypatch.setattr(sb, "_propose_pattern", infeasible_proposal)
-    monkeypatch.setattr(lp_kernel, "minimize_over_binaries", recorded_best_first)
-    rep = sb.inertia_milp(g, spec, 2)
-    assert calls == ["proposal", "best-first"]
-    assert rep.witness["confirmed_by"] == "simplex"
-    assert_witness_certifies(g, spec, 2, rep)
-    monkeypatch.setattr(sb, "_inertia_search", exact_search)
-    assert rep.raw_value == sb.inertia_milp(g, spec, 2).raw_value == 3
+    monkeypatch.setattr(lp_kernel, "minimize_over_binaries", unused("best-first"))
+    monkeypatch.setattr(sb, "solve_lp", unused("simplex"))
+    with pytest.raises(NumericalInconsistency):
+        sb.inertia_milp(g, spec, 2)
+    assert calls == ["proposal"]
 
 
 def _counting_solve_lp(monkeypatch) -> list:
@@ -328,34 +332,25 @@ def _counting_solve_lp(monkeypatch) -> list:
     return calls
 
 
-def _winning_min_norm_program(monkeypatch):
-    """(oracle, pattern, min-norm LP) of city block (3,2), k=2's winning pattern."""
-    searches = _captured_searches(monkeypatch)
-    rep = sb.inertia_milp(*float_instance("city-block", m=3, n=2), 2)
-    (base_rows, eig_table, _), = searches
-    oracle = sb._PatternOracle(base_rows, eig_table)
-    b = rep.witness["pattern"]
-    zeros = [j for j, bit in enumerate(b) if not bit]
-    lp = LinearProgram((Fraction(1),) * (2 * oracle.n_vars), oracle._program(zeros))
-    return oracle, b, lp
-
-
 @pytest.mark.parametrize("all_zeros", [False, True], ids=["non-optimal-x", "failure-status"])
 def test_wrong_float_point_runs_the_exact_fallback(all_zeros, monkeypatch):
     """p = 0 cannot be pinned: after a_0 is set its largest value over any
-    zero is 0, not below.  The float route then runs the exact min-norm
-    simplex, which returns its own coefficients as "simplex" on the winning
-    pattern, and its infeasible status (None) on the all-zeros pattern."""
-    oracle, b, lp = _winning_min_norm_program(monkeypatch)
-    expected = oracle._coefficients(solve_lp(lp).solution)
-    if all_zeros:
-        b = (0,) * len(b)
-        lp = LinearProgram(lp.objective, oracle._program(list(range(len(b)))))
+    zero is 0, not below.  `pin` says so without an LP, on city block
+    (3,2), k=2's winning pattern and on the all-zeros one, and a MILP
+    proposing that point makes the float route raise."""
+    g, spec = float_instance("city-block", m=3, n=2)
+    searches = _captured_searches(monkeypatch)
+    sb.inertia_milp(g, spec, 2)
+    (base_rows, eig_table, witness), = searches
+    oracle = sb._PatternOracle(base_rows, eig_table)
+    b = (0,) * len(eig_table) if all_zeros else witness["pattern"]
     calls = _counting_solve_lp(monkeypatch)
     assert oracle.pin(b, np.zeros(oracle.n_vars)) is None
+    monkeypatch.setattr(sb, "_propose_pattern",
+                        lambda spectrum, oracle, max_nodes: (0, b, np.zeros(oracle.n_vars)))
+    with pytest.raises(NumericalInconsistency):
+        sb.inertia_milp(g, spec, 2)
     assert calls == []
-    assert oracle.min_norm_witness(b) == (None if all_zeros else (expected, "simplex"))
-    assert calls == [lp]
 
 
 def _captured_milp_options(monkeypatch) -> list:
@@ -371,18 +366,28 @@ def _captured_milp_options(monkeypatch) -> list:
     return captured
 
 
-MIN_NORM_FALLBACKS = 0  # exact-simplex min-norm solves on tables 2 and 6, of 22
 TABLE_FLOAT_MILPS = 22  # HiGHS MILPs on tables 2 and 6: one per row with k >= 2
+PIN_MARGIN = Fraction(-1, 2)  # bound on pin's largest p(theta_j) over the zeros
+
+
+def _float_table_inertia():
+    """compute_row's inertia cell on every row of tables 2 and 6, checked
+    against the fixture."""
+    for table_id in (2, 6):
+        for row in tables.load_fixture(table_id):
+            space = tables.make_space(tables.TABLE_METRIC[table_id], **row)
+            result = tables.compute_row(space, int(row["k"]), ["inertia"], with_alpha=False)
+            assert result.cell("inertia") == row["inertia"]
 
 
 def test_min_norm_fallbacks_are_pinned(monkeypatch):
     """Tables 2 and 6 confirm each row's pattern from its MILP's point; count
-    the points that could not be pinned and went to the exact min-norm
-    simplex, the HiGHS MILPs that proposed the patterns, and HiGHS LPs
-    (none: no LP is solved in floating point).  The counts are
-    deterministic, so a change that quietly sends these rows back to the
-    exact simplex, or solves more MILPs, fails here rather than only in
-    wall time.  Every witness satisfies its program's rows exactly."""
+    the exact-simplex solves (none: the float route runs no LP), the HiGHS
+    MILPs that proposed the patterns, and HiGHS LPs (none: no LP is solved
+    in floating point).  The counts are deterministic, so a change that
+    quietly sends these rows to the exact simplex, or solves more MILPs,
+    fails here rather than only in wall time.  Every witness satisfies its
+    program's rows exactly."""
     calls = _counting_solve_lp(monkeypatch)
     milps = _captured_milp_options(monkeypatch)
     linprogs = []
@@ -394,18 +399,39 @@ def test_min_norm_fallbacks_are_pinned(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", counted_linprog)
     searches = _captured_searches(monkeypatch)
-    for table_id in (2, 6):
-        for row in tables.load_fixture(table_id):
-            space = tables.make_space(tables.TABLE_METRIC[table_id], **row)
-            result = tables.compute_row(space, int(row["k"]), ["inertia"], with_alpha=False)
-            assert result.cell("inertia") == row["inertia"]
+    _float_table_inertia()
     assert len(searches) == 22
-    assert len(calls) <= MIN_NORM_FALLBACKS
-    assert sum(w["confirmed_by"] == "simplex" for _, _, w in searches) == len(calls)
+    assert calls == []
     assert len(milps) == TABLE_FLOAT_MILPS
     assert linprogs == []
     for base_rows, eig_table, witness in searches:
         assert_witness_solves_program(base_rows, eig_table, witness)
+
+
+def test_pinned_points_keep_their_margin(monkeypatch):
+    """On the float searches of tables 2 and 6, `pin`'s largest value of p
+    over the pattern's zeros, before it scales p to make that value -1, is
+    at most -1/2 (measured: at most -0.99999998).  A point fails to pin
+    only once that value reaches 0, so a HiGHS change that erodes the
+    margin fails here before it fails a search."""
+    proposals = []
+    propose = sb._propose_pattern
+
+    def capture(spectrum, oracle, max_nodes):
+        proposal = propose(spectrum, oracle, max_nodes)
+        proposals.append((oracle, proposal))
+        return proposal
+
+    monkeypatch.setattr(sb, "_propose_pattern", capture)
+    _float_table_inertia()
+    assert len(proposals) == TABLE_FLOAT_MILPS
+    for oracle, (_, b, point) in proposals:
+        coeffs = oracle.pin(b, point)
+        assert coeffs is not None, b
+        # pin divides the rationalized point by -top, so a_i (i >= 1) reads top back
+        i = max(range(1, oracle.n_vars), key=lambda i: abs(point[i]))
+        top = -sb.rationalize(float(point[i])) / coeffs[i]
+        assert top <= PIN_MARGIN, (b, float(top))
 
 
 def test_milp_skips_feasibility_jump(monkeypatch):
@@ -537,11 +563,24 @@ def test_minor_lp_matches_closed_forms_on_other_regular_graphs():
                 sb.ratio_alpha3_closed(spec, delta).raw_value, space.name
 
 
+def test_ratio_bounds_refuse_float_spectra():
+    """Only the field metrics get the Ratio-type bounds, and their spectra
+    are exact; a float spectrum is not applicable."""
+    spec = city_block_spectrum(3, 2)
+    assert not spec.exact and spec.r >= 3
+    for bound in (lambda: sb.ratio_type_bound(spec, X, Fraction(0), 1),
+                  lambda: sb.ratio_alpha2_closed(spec),
+                  lambda: sb.ratio_alpha3_closed(spec, 0),
+                  lambda: sb.minor_polynomial_lp(spec, 2)):
+        with pytest.raises(NotApplicable):
+            bound()
+
+
 def _newton_table_rows(spectrum, k):
     """Reference: the minor-polynomial LP's rows from the full Newton table
     of divided differences, one coefficient vector per f[theta_i..theta_j]."""
     r = spectrum.r
-    theta = [sb.rationalize(t) for t in spectrum.distinct]
+    theta = [Fraction(t) for t in spectrum.distinct]
     dd = {(i, i): [Fraction(i == j) for j in range(r + 1)] for i in range(r + 1)}
     for span in range(1, r + 1):
         for i in range(r + 1 - span):
@@ -552,10 +591,12 @@ def _newton_table_rows(spectrum, k):
 
 
 @pytest.mark.parametrize("spec", [phase_rotation_spectrum(q, n) for q, n in [
-    (2, 6), (3, 4), (3, 5), (4, 4)]] + [float_instance("city-block", m=4, n=3)[1],
-                                        float_instance("varshamov", n=6)[1]],
+    (2, 6), (3, 4), (3, 5), (4, 4)]] + [
+        tables.spectrum_for(tables.make_space("cyclic-burst", q=2, n=12, b=2)),
+        tables.spectrum_for(tables.make_space(
+            "block", q=2, partition="|".join(str(i) for i in range(1, 15))))],
     ids=["phase-rotation-2-6", "phase-rotation-3-4", "phase-rotation-3-5",
-         "phase-rotation-4-4", "city-block-4-3", "varshamov-6"])
+         "phase-rotation-4-4", "cyclic-burst-2-12-2", "block-2-14-singletons"])
 def test_minor_polynomial_rows_equal_newton_table(spec, monkeypatch):
     """The closed-form divided differences give the Newton table's rows
     exactly, so the ratio LP, its value and its witness are the same."""

@@ -184,6 +184,17 @@ def test_cli_usage_error_exits_2(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_cli_reports_an_unpinnable_milp_point(monkeypatch, capsys):
+    """A float inertia MILP whose point cannot be pinned exactly is an
+    error, not a reported bound."""
+    monkeypatch.setattr(sb, "_propose_pattern", lambda spectrum, oracle, max_nodes:
+                        (0, (1,) * len(spectrum.distinct), np.zeros(oracle.n_vars)))
+    code, text = run_cli(["bound", "city-block", "--m", "3", "--n", "2", "--k", "2",
+                          "--bounds", "inertia"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: the inertia MILP's point")
+
+
 def test_cli_spectrum_in_the_largest_prime_field():
     """GF(1021) lies under the field-order cap, and phase rotation on
     GF(1021)^2 (1,042,441 vertices) under the 2^20 guard."""
@@ -355,6 +366,23 @@ def test_table_oracle_builds_bit_rows_only_where_it_searches(monkeypatch):
     monkeypatch.setattr(gr, "_row_bitmasks", counting("bit_rows", gr._row_bitmasks))
     assert all(tables.verify_table(t) for t in (3, 4, 5))
     assert counts == {"oracle": 41, "bit_rows": 10}
+
+
+def test_oracle_bit_rows_read_a_c_contiguous_gather(monkeypatch):
+    """Phase rotation (3,4), k=2 (table 5) searches, so the oracle packs
+    its degree-ordered adjacency into bit rows; the gather it packs is in
+    C order, which a column-strided one (a[p][:, p]) is not."""
+    row_bitmasks = gr._row_bitmasks
+    layouts = []
+
+    def recorded(matrix):
+        layouts.append(matrix.flags.c_contiguous)
+        return row_bitmasks(matrix)
+    monkeypatch.setattr(gr, "_row_bitmasks", recorded)
+    row = tables.compute_row(tables.make_space("phase-rotation", q=3, n=4), 2,
+                             ["inertia", "ratio", "singleton"])
+    assert row.cell("alpha") == "6" and row.oracle.nodes > 0
+    assert layouts == [True]
 
 
 def test_hint_at_the_bound_certifies_before_search_set_up(monkeypatch):
