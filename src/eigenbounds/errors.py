@@ -46,7 +46,7 @@ class NumericalInconsistency(EigenboundsError):
 
 
 class TooLarge(EigenboundsError):
-    """The linear program exceeds the size guard."""
+    """A computation's values would exceed what its integer type holds."""
 
 
 class NoFeasibleAssignment(EigenboundsError):

@@ -5,10 +5,11 @@ matrix plus per-vertex Python-int bitmasks for the branch-and-bound solver.
 Vertex order is the metric's canonical enumeration, so vertex numbering is
 reproducible across runs.  The space builds the adjacency itself by index
 arithmetic (`MetricSpace.adjacency`); the k-th power graph takes k - 1
-passes that OR packed neighbour rows together, and the diagonals of
-A^1..A^k take k sparse matrix products.  All-pairs distances (scipy's
-unweighted shortest paths) are computed only where distances themselves
-are needed: the geodesic check and distance regularity.
+passes that OR packed neighbour rows together, and the vertex classes by
+diagonals of A^0..A^k take k sparse products and no dense power.
+All-pairs distances (scipy's unweighted shortest paths) are computed only
+where distances themselves are needed: the geodesic check and distance
+regularity.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import AmbientTooLarge, BudgetExceeded, Disconnected, InternalError
+from .errors import AmbientTooLarge, BudgetExceeded, Disconnected, InternalError, TooLarge
 from .metrics import MetricSpace, enumerate_ambient
 
 MAX_DENSE_VERTICES = 2**14
@@ -150,33 +151,31 @@ def power_graph(g: Graph, k: int) -> Graph:
     return Graph(adj)
 
 
-def _diag_powers(adjacency: np.ndarray, k: int) -> list[np.ndarray]:
-    """Diagonals of A^0..A^k as exact int64 vectors.
-
-    A^i = A A^(i-1) by k sparse-times-dense int64 products, O(k V^2 delta).
-    Integer arithmetic throughout, so every entry is exact while it stays
-    below 2^63 (entries of A^i are at most delta^i).
-    """
+def diagonal_classes(adjacency: np.ndarray, k: int) -> list[tuple[int, ...]]:
+    """The distinct vectors ((A^0)_vv, ..., (A^k)_vv) over the vertices v,
+    sorted, as tuples of Python ints: k sparse (CSR x CSR) int64 products,
+    keeping only each diagonal.  A walk count (A^i)_uv is at most
+    delta^(i-1), so TooLarge is raised unless delta^(k-1) < 2^63."""
     a = csr_matrix(adjacency, dtype=np.int64)
-    power = np.eye(adjacency.shape[0], dtype=np.int64)
-    diags = [np.diagonal(power).copy()]
+    delta = int(np.diff(a.indptr).max(initial=0))
+    if delta ** max(k - 1, 0) >= 2**63:
+        raise TooLarge(f"walk counts up to {delta}^{k - 1} overflow int64")
+    power = identity(a.shape[0], dtype=np.int64, format="csr")
+    diags = [power.diagonal()]
     for _ in range(k):
         power = a @ power
-        diags.append(np.diagonal(power).copy())
-    return diags
+        diags.append(power.diagonal())
+    return sorted(set(map(tuple, np.column_stack(diags).tolist())))
 
 
 def is_k_partially_walk_regular(g: Graph, k: int) -> bool:
     """True iff diag(A^i) is constant for every i <= k."""
-    for d in _diag_powers(g.adjacency, k)[1:]:
-        if d.size and (d != d[0]).any():
-            return False
-    return True
+    return len(diagonal_classes(g.adjacency, k)) <= 1
 
 
 def triangle_delta(g: Graph) -> int:
     """Max diagonal entry of A^3 (twice the max per-vertex triangle count)."""
-    return int(_diag_powers(g.adjacency, 3)[3].max(initial=0))
+    return max((u[3] for u in diagonal_classes(g.adjacency, 3)), default=0)
 
 
 def is_distance_regular(g: Graph) -> DistanceRegularityReport:

@@ -54,7 +54,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev as C, polynomial as P, polyutils as pu
+from numpy.polynomial import chebyshev as C, polyutils as pu
 
 # minimize_over_binaries is looked up on the module at call time, so a
 # wrapper installed there sees every search
@@ -70,7 +70,7 @@ from .errors import (
     NumericalInconsistency,
     TooFewEigenvalues,
 )
-from .graphs import Graph, _diag_powers
+from .graphs import Graph, diagonal_classes
 from .lp_kernel import (
     EQ,
     GE,
@@ -122,13 +122,13 @@ def inertia_type_bound(g: Graph, spectrum: Spectrum, p: Polynomial, k: int) -> B
 
     Counts run over the full eigenvalue multiset (sums of multiplicities
     over qualifying distinct values); W(p), w(p) are the extreme diagonal
-    entries of p(A), computed exactly from integer matrix powers.
+    entries of p(A): the extremes of sum_i a_i u_i over the exact
+    diagonal classes u of `graphs.diagonal_classes`.
     """
     if p.degree > k:
         raise DegreeTooHigh(f"deg {p.degree} > k={k}")
-    diags = _diag_powers(g.adjacency, len(p.coeffs) - 1)
-    n = g.n_vertices
-    diag_vals = [sum(a * int(d[v]) for a, d in zip(p.coeffs, diags)) for v in range(n)]
+    diag_vals = [sum(a * d for a, d in zip(p.coeffs, u))
+                 for u in diagonal_classes(g.adjacency, len(p.coeffs) - 1)]
     w_p, big_w = min(diag_vals), max(diag_vals)
 
     def p_at(theta):
@@ -305,34 +305,28 @@ def _quiet_milp(*args, **kwargs):
         os.close(devnull)
 
 
-def _chebval_series(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Monomial coefficients of sum_i c_i T_i(x(t)) for x(t) a coefficient
-    series: `chebval`'s Clenshaw recursion with each operation on series,
-    the operations `Chebyshev.convert` performs on its polynomial objects."""
-    if len(c) == 1:
-        c0, c1 = c[0], 0
-    elif len(c) == 2:
-        c0, c1 = c[0], c[1]
-    else:
-        x2 = P.polymul(2, x)
-        c0, c1 = c[-2], c[-1]
-        for i in range(3, len(c) + 1):
-            c0, c1 = P.polysub(c[-i], c1), P.polyadd(c0, P.polymul(c1, x2))
-    return P.polyadd(c0, P.polymul(c1, x))
-
-
 def _chebyshev_basis(spectrum: Spectrum, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(to_monomial, values) of T_0..T_k on [theta_min, theta_max]: column i
-    of to_monomial holds T_i's monomial coefficients, and values[j, i] is
-    T_i(theta_j).  Both equal, bit for bit, what numpy's `Chebyshev.basis`
-    objects on that domain give through `convert` and evaluation."""
+    """(to_monomial, values) of T_0..T_k (k >= 1) on [theta_min, theta_max]:
+    column i of to_monomial holds T_i's monomial coefficients, and
+    values[j, i] is T_i(theta_j).  Both equal, bit for bit, what numpy's
+    `Chebyshev.basis` objects on that domain give through `convert` and
+    evaluation.  to_monomial is `chebval`'s Clenshaw recursion on all k + 1
+    basis vectors at once: row i of c0 and c1 is vector i's series in t,
+    on k + 1 columns, for the domain map x(t) = off + scl t."""
     theta = np.array([float(t) for t in spectrum.distinct])
     off, scl = pu.mapparms([theta.min(), theta.max()], [-1, 1])
-    x = P.polyadd(off, P.polymul(scl, [0.0, 1.0]))  # the domain map t -> off + scl t
-    basis = np.eye(k + 1)
-    to_monomial = np.array([np.pad(_chebval_series(x, e), (0, k - i))
-                            for i, e in enumerate(basis)]).T
-    return to_monomial, np.array([C.chebval(off + scl * theta, e) for e in basis]).T
+
+    def times(c, x0, x1):  # every row's series times x0 + x1 t
+        out = c * x0
+        out[:, 1:] += c[:, :-1] * x1
+        return out
+    e = np.eye(k + 1)
+    c0, c1 = np.zeros((2, k + 1, k + 1))
+    c0[:, 0], c1[:, 0] = e[:, -2], e[:, -1]
+    for i in range(3, k + 2):
+        c0, c1 = -c1, c0 + times(c1, 2 * off, 2 * scl)
+        c0[:, 0] += e[:, -i]
+    return (c0 + times(c1, off, scl)).T, C.chebval(off + scl * theta, e).T
 
 
 def _propose_pattern(spectrum: Spectrum, oracle: _PatternOracle,
@@ -398,13 +392,14 @@ def inertia_milp(g: Graph, spectrum: Spectrum, k: int,
                  max_nodes: int = 1 << 20) -> BoundReport:
     """Optimal-polynomial Inertia-type bound for arbitrary graphs.
 
-    One program for the whole graph: diag(p(A))_u >= 0 for one
-    representative u of every distinct diagonal-vector class
-    ((A^0)_uu..(A^k)_uu determines the diagonal).  Its optimum is the
-    minimum over the per-vertex programs that pin one class's diagonal to
-    0: each of those only adds its pin, and a feasible p minus its smallest
-    class diagonal w >= 0 is feasible for that class, with the same
-    pattern, as every p(theta_j) only drops.
+    One program for the whole graph: sum_i a_i u_i >= 0 for every
+    distinct diagonal vector u = ((A^0)_vv, ..., (A^k)_vv), in the sorted
+    order `graphs.diagonal_classes` gives them (u determines
+    diag(p(A))_v; walk counts past int64 raise TooLarge there).  Its
+    optimum is the minimum over the per-vertex programs that pin one
+    class's diagonal to 0: each of those only adds its pin, and a feasible
+    p minus its smallest class diagonal w >= 0 is feasible for that class,
+    with the same pattern, as every p(theta_j) only drops.
     `max_nodes` is a work budget, not a time, so no result depends on
     machine speed: it caps the patterns the search tries, and on float
     spectra also HiGHS's branch-and-bound nodes.  Running out raises
@@ -414,10 +409,8 @@ def inertia_milp(g: Graph, spectrum: Spectrum, k: int,
         value, witness = _k1_inertia_value(spectrum)
         return BoundReport("inertia_milp", Fraction(value), k, exact=spectrum.exact,
                            witness=witness)
-    diags = _diag_powers(g.adjacency, k)
-    classes = sorted({tuple(int(d[v]) for d in diags) for v in range(g.n_vertices)})
-    value, witness = _inertia_search(spectrum, [(u, GE, 0) for u in classes],
-                                     _eigen_power_table(spectrum, k), max_nodes)
+    rows = [(u, GE, 0) for u in diagonal_classes(g.adjacency, k)]
+    value, witness = _inertia_search(spectrum, rows, _eigen_power_table(spectrum, k), max_nodes)
     return BoundReport("inertia_milp", Fraction(value), k, exact=spectrum.exact,
                        witness=witness)
 

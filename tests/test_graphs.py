@@ -12,13 +12,14 @@ import math
 from fractions import Fraction
 
 from eigenbounds.algebra import FieldVector, make_field
-from eigenbounds.errors import Disconnected, DimensionMismatch, InternalError
+from eigenbounds.errors import Disconnected, DimensionMismatch, InternalError, TooLarge
 from eigenbounds import graphs as gr
 from eigenbounds import metrics as mt
 from eigenbounds import tables
 
 from test_acceptance import _random_instances
 from test_metrics import AXIOM_SPACES
+from test_spectral_bounds import diagonal_classes as dense_diagonal_classes
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -410,9 +411,9 @@ def test_walk_regularity():
     assert gr.is_k_partially_walk_regular(g, 6)  # vertex-transitive Cayley graph
     cb = gr.build_distance_graph(mt.CityBlockSpace(3, 2))
     assert not gr.is_k_partially_walk_regular(cb, 2)
-    # diag(A^2) = degrees for any graph
-    diags = gr._diag_powers(cb.adjacency, 2)
-    assert np.array_equal(diags[2], cb.degree_list)
+    # diag(A^2) = degrees for any graph, so the classes at k = 2 are the degrees
+    assert ([u[2] for u in gr.diagonal_classes(cb.adjacency, 2)]
+            == sorted(set(cb.degree_list.tolist())))
 
 
 def _reference_diag_powers(adjacency, k):
@@ -428,6 +429,11 @@ def _reference_diag_powers(adjacency, k):
     return diags
 
 
+def _reference_classes(adjacency, k):
+    """The distinct per-vertex columns of `_reference_diag_powers`, sorted."""
+    return sorted(set(zip(*_reference_diag_powers(adjacency, k))))
+
+
 def complete_graph(n):
     return gr.Graph(np.ones((n, n), dtype=np.uint8) - np.eye(n, dtype=np.uint8))
 
@@ -437,9 +443,48 @@ def complete_graph(n):
                          + [(complete_graph(20), 12)],
                          ids=[s.name for s in AXIOM_SPACES] + ["K20-k12"])
 def test_diag_powers_equal_python_int_matrix_power(g, k):
-    diags = gr._diag_powers(g.adjacency, k)
-    assert all(d.dtype == np.int64 for d in diags)
-    assert [d.tolist() for d in diags] == _reference_diag_powers(g.adjacency, k)
+    """`diagonal_classes` equals the classes of a Python-int matrix power,
+    as tuples of Python ints."""
+    classes = gr.diagonal_classes(g.adjacency, k)
+    assert all(type(x) is int for u in classes for x in u)
+    assert classes == _reference_classes(g.adjacency, k)
+
+
+def test_diagonal_classes_refuse_int64_overflow():
+    """A walk count (A^i)_uv is at most delta^(i-1).  K_20 (delta = 19) is
+    exact through k = 15 (19^14 < 2^63) and refused at k = 16: its
+    diag(A^16) is about 1.4 * 10^19, past int64."""
+    a = complete_graph(20).adjacency
+    assert gr.diagonal_classes(a, 15) == _reference_classes(a, 15)
+    with pytest.raises(TooLarge):
+        gr.diagonal_classes(a, 16)
+
+
+def test_diagonal_classes_form_no_dense_power():
+    """City block (4,5), 1,024 vertices: the traced peak stays below a
+    quarter of one dense int64 power (V^2 * 8 bytes)."""
+    a = gr.build_distance_graph(mt.CityBlockSpace(4, 5)).adjacency
+    tracemalloc.start()
+    try:
+        gr.diagonal_classes(a, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.size * 8 / 4, peak
+
+
+def test_diagonal_classes_equal_dense_reference():
+    """On the graphs of all 69 table rows at their k, and of the first 100
+    criterion-9 draws at k = 1..3."""
+    rows = [(tables.make_space(metric, **row), int(row["k"]))
+            for table_id, metric in tables.TABLE_METRIC.items()
+            for row in tables.load_fixture(table_id)]
+    assert len(rows) == 69
+    cases = ([(gr.build_distance_graph(s), k) for s, k in rows]
+             + [(gr.build_distance_graph(s), k)
+                for s in _criterion_9_spaces(100) for k in (1, 2, 3)])
+    for g, k in cases:
+        assert gr.diagonal_classes(g.adjacency, k) == dense_diagonal_classes(g, k)
 
 
 def test_cayley_built_graphs_walk_regular_up_to_6():

@@ -81,8 +81,16 @@ def test_inertia_type_scale_invariance():
 
 
 def diagonal_classes(g, k):
-    """The distinct diagonal vectors ((A^0)_uu..(A^k)_uu), sorted."""
-    diags = gr._diag_powers(g.adjacency, k)
+    """The distinct diagonal vectors ((A^0)_uu..(A^k)_uu), sorted: a
+    reference for `gr.diagonal_classes` from dense float64 powers, exact
+    while every entry stays below 2^53 (asserted)."""
+    a = g.adjacency.astype(np.float64)
+    power = np.eye(len(a))
+    diags = [np.diagonal(power)]
+    for _ in range(k):
+        power = a @ power
+        assert power.max(initial=0) < 2**53
+        diags.append(np.diagonal(power))
     return sorted({tuple(int(d[v]) for d in diags) for v in range(g.n_vertices)})
 
 
