@@ -211,7 +211,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
 
 
 def solve_feasibility(constraints: Sequence, n_vars: int) -> LpResult:
-    """Phase-1 only: feasibility of the constraint system over x >= 0."""
+    """Feasibility of the constraint system over x >= 0: `solve_lp` with a zero objective."""
     lp = LinearProgram(tuple(Fraction(0) for _ in range(n_vars)), tuple(constraints))
     return solve_lp(lp)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +40,9 @@ class Spectrum:
                 raise ValueError("distinct eigenvalues must be strictly descending")
         if any(m < 1 for m in self.mults):
             raise ValueError("multiplicities must be positive")
+        if self.exact and not all(isinstance(t, numbers.Integral) for t in self.distinct):
+            # the rational eigenvalues of an integer symmetric matrix are integers
+            raise ValueError("an exact spectrum takes integer eigenvalues")
 
     @property
     def n(self) -> int:

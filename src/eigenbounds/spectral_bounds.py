@@ -7,8 +7,8 @@ MILP conventions
 The optimal-polynomial search minimizes m.b over binary patterns b, where
 b_j = 0 forces p(theta_j) <= -1 and b_j = 1 leaves theta_j unconstrained,
 in one program per search.  All other constraints are homogeneous in the
-coefficients of p: for an irregular graph, diag(p(A))_u >= 0 for every
-class u of vertices sharing a diagonal of A^0..A^k (see `inertia_milp`).
+coefficients of p: diag(p(A))_u >= 0 for every class u of vertices sharing
+a diagonal of A^0..A^k (see `inertia_milp`), one if the graph is walk-regular.
 Exact spectra enumerate patterns best-first by weight, each checked by an
 exact-rational feasibility LP (Farkas cores prune later patterns); the
 first feasible one is optimal.  Float spectra solve the big-M form as one
@@ -64,6 +64,7 @@ from .errors import (
     AssumptionViolated,
     BudgetExceeded,
     DegreeTooHigh,
+    DimensionMismatch,
     InternalError,
     NotApplicable,
     NotRegular,
@@ -127,6 +128,8 @@ def inertia_type_bound(g: Graph, spectrum: Spectrum, p: Polynomial, k: int) -> B
     """
     if p.degree > k:
         raise DegreeTooHigh(f"deg {p.degree} > k={k}")
+    if g.n_vertices != spectrum.n:
+        raise DimensionMismatch(f"{spectrum.n} eigenvalues for {g.n_vertices} vertices")
     diag_vals = [sum(a * d for a, d in zip(p.coeffs, u))
                  for u in diagonal_classes(g.adjacency, len(p.coeffs) - 1)]
     w_p, big_w = min(diag_vals), max(diag_vals)
@@ -146,7 +149,7 @@ def inertia_type_bound(g: Graph, spectrum: Spectrum, p: Polynomial, k: int) -> B
         count_ge += mult if ge else 0
         count_le += mult if le else 0
     bound = min(count_ge, count_le)
-    return BoundReport("inertia_type", Fraction(bound), k, exact=True,
+    return BoundReport("inertia_type", Fraction(bound), k, exact=spectrum.exact,
                        witness={"polynomial": p.coeffs, "W": big_w, "w": w_p})
 
 
@@ -156,28 +159,21 @@ def inertia_type_bound(g: Graph, spectrum: Spectrum, p: Polynomial, k: int) -> B
 
 def _eigen_power_table(spectrum: Spectrum, k: int) -> list[list[Fraction]]:
     """T[j][i] = theta_j^i, exact or rationalized power by power."""
-    table = []
-    for theta in spectrum.distinct:
-        if spectrum.exact:
-            t = Fraction(theta)
-            table.append([t**i for i in range(k + 1)])
-        else:
-            table.append([rationalize(float(theta) ** i) for i in range(k + 1)])
-    return table
+    return [[rationalize(t**i if spectrum.exact else float(t) ** i) for i in range(k + 1)]
+            for t in spectrum.distinct]
 
 
 def _k1_inertia_value(spectrum: Spectrum) -> tuple[int, dict]:
-    """Exact optimum of both inertia MILPs for k=1.
+    """Exact optimum of the inertia program for k=1.
 
-    Degree-1 polynomials have constant diagonal a_0, which every variant
-    pins to 0, so the optimum is min over sign sides of the multiplicity
-    mass: the classical inertia bound.
+    Degree-1 polynomials have constant diagonal a_0 >= 0, and lowering it
+    to 0 keeps every pattern, so the optimum is min over sign sides of the
+    multiplicity mass: the classical inertia bound.
     """
     tol = 0.0 if spectrum.exact else FLOAT_COUNT_TOL
     neg = sum(m for t, m in zip(spectrum.distinct, spectrum.mults) if t < -tol)
     pos = sum(m for t, m in zip(spectrum.distinct, spectrum.mults) if t > tol)
-    total = spectrum.n
-    value = total - max(neg, pos)
+    value = spectrum.n - max(neg, pos)
     if neg >= pos:
         side, extreme = "negative", max((t for t in spectrum.distinct if t < -tol), default=None)
     else:
@@ -200,13 +196,13 @@ class _PatternOracle:
     """Exact-rational feasibility of the inertia program under zero-patterns.
 
     The program of pattern b is the base rows (one diagonal row per vertex
-    class, or the walk-regular trace row) plus p(theta_j) <= -1 for every
-    b_j = 0, each row split over a = x+ - x- (see `_split`).  Calling
-    the oracle on b decides that program's feasibility: the best-first
-    search's test.  Infeasible patterns donate their Farkas row support as
-    a core, and a later pattern whose zero-set contains a known core is
-    rejected without an LP call.  `pin` turns the float MILP's point into
-    an exact witness of its pattern, solving no LP.
+    class) plus p(theta_j) <= -1 for every b_j = 0, each row split over
+    a = x+ - x- (see `_split`).  Calling the oracle on b decides that
+    program's feasibility: the best-first search's test.  Infeasible
+    patterns donate their Farkas row support as a core, and a later pattern
+    whose zero-set contains a known core is rejected without an LP call.
+    `pin` turns the float MILP's point into an exact witness of its
+    pattern, solving no LP.
     """
 
     def __init__(self, base_rows: list, eig_table: list[list[Fraction]]):
@@ -250,18 +246,17 @@ class _PatternOracle:
         point cannot be pinned.
 
         The point is rationalized and a_0 set to the least value every base
-        row allows: the base rows are homogeneous with a positive a_0
-        coefficient (1 on a class diagonal, n on the trace row), so this
-        makes the smallest class diagonal exactly 0, or solves the trace
-        row.  Then p is scaled so that its largest value over b's zeros is
-        exactly -1.  Both steps keep every row; the scaling needs that
-        largest value < 0, else the point is rejected.
+        row allows: each base row is a class diagonal u . a >= 0 with
+        u_0 = (A^0)_vv = 1, so this makes the smallest class diagonal
+        exactly 0.  Then p is scaled so that its largest value over b's
+        zeros is exactly -1.  Both steps keep every row; the scaling needs
+        that largest value < 0, else the point is rejected (a pattern
+        without zeros is left unscaled).
         """
         a = [rationalize(float(x)) for x in point]
-        a[0] = max(-sum(c * x for c, x in zip(coeffs[1:], a[1:])) / coeffs[0]
-                   for coeffs, _, _ in self.base_rows)
+        a[0] = max(-sum(c * x for c, x in zip(u[1:], a[1:])) for u, _, _ in self.base_rows)
         top = max((sum(t * x for t, x in zip(self.eig_table[j], a))
-                   for j, bit in enumerate(b) if not bit), default=0)
+                   for j, bit in enumerate(b) if not bit), default=-1)
         if top >= 0:
             return None
         return tuple(x / -top for x in a)
@@ -312,9 +307,11 @@ def _chebyshev_basis(spectrum: Spectrum, k: int) -> tuple[np.ndarray, np.ndarray
     `Chebyshev.basis` objects on that domain give through `convert` and
     evaluation.  to_monomial is `chebval`'s Clenshaw recursion on all k + 1
     basis vectors at once: row i of c0 and c1 is vector i's series in t,
-    on k + 1 columns, for the domain map x(t) = off + scl t."""
+    on k + 1 columns, for the domain map x(t) = off + scl t.  A single
+    eigenvalue theta gets the domain [theta - 1, theta + 1]."""
     theta = np.array([float(t) for t in spectrum.distinct])
-    off, scl = pu.mapparms([theta.min(), theta.max()], [-1, 1])
+    pad = float(theta.min() == theta.max())
+    off, scl = pu.mapparms([theta.min() - pad, theta.max() + pad], [-1, 1])
 
     def times(c, x0, x1):  # every row's series times x0 + x1 t
         out = c * x0
@@ -349,8 +346,7 @@ def _propose_pattern(spectrum: Spectrum, oracle: _PatternOracle,
     r1 = len(values)
     weights = np.concatenate([np.zeros(k + 1), spectrum.mults])
     constraints = [
-        LinearConstraint(np.hstack([rows, np.zeros((len(rows), r1))]), 0,
-                         [0 if rel == EQ else np.inf for _, rel, _ in oracle.base_rows]),
+        LinearConstraint(np.hstack([rows, np.zeros((len(rows), r1))]), 0, np.inf),
         LinearConstraint(np.hstack([values,
                                     -((k + 1) * MILP_COEFF_BOX + 2) * np.eye(r1)]), -np.inf, -1)]
     res = _quiet_milp(weights, constraints=constraints, integrality=weights > 0,
@@ -388,6 +384,23 @@ def _inertia_search(spectrum: Spectrum, base_rows: list, eig_table: list,
     return weight, {"pattern": b, "polynomial": coeffs}
 
 
+def _inertia_bound(name: str, g: Optional[Graph], spectrum: Spectrum, k: int,
+                   max_nodes: int) -> BoundReport:
+    """The bound of the program with one row u . a >= 0 per distinct diagonal
+    vector u = ((A^0)_vv, ..., (A^k)_vv): g's `graphs.diagonal_classes`, or
+    with g None a walk-regular graph's one vector, read off the spectrum as
+    u_i = (1/n) sum_j m_j theta_j^i (whole numbers on an exact spectrum)."""
+    if k == 1:
+        value, witness = _k1_inertia_value(spectrum)
+    else:
+        table = _eigen_power_table(spectrum, k)
+        classes = diagonal_classes(g.adjacency, k) if g is not None else [
+            tuple(sum(m * t for m, t in zip(spectrum.mults, col)) / spectrum.n
+                  for col in zip(*table))]
+        value, witness = _inertia_search(spectrum, [(u, GE, 0) for u in classes], table, max_nodes)
+    return BoundReport(name, Fraction(value), k, exact=spectrum.exact, witness=witness)
+
+
 def inertia_milp(g: Graph, spectrum: Spectrum, k: int,
                  max_nodes: int = 1 << 20) -> BoundReport:
     """Optimal-polynomial Inertia-type bound for arbitrary graphs.
@@ -403,39 +416,24 @@ def inertia_milp(g: Graph, spectrum: Spectrum, k: int,
     `max_nodes` is a work budget, not a time, so no result depends on
     machine speed: it caps the patterns the search tries, and on float
     spectra also HiGHS's branch-and-bound nodes.  Running out raises
-    BudgetExceeded.
+    BudgetExceeded; a spectrum whose size is not g's raises
+    DimensionMismatch.
     """
-    if k == 1:
-        value, witness = _k1_inertia_value(spectrum)
-        return BoundReport("inertia_milp", Fraction(value), k, exact=spectrum.exact,
-                           witness=witness)
-    rows = [(u, GE, 0) for u in diagonal_classes(g.adjacency, k)]
-    value, witness = _inertia_search(spectrum, rows, _eigen_power_table(spectrum, k), max_nodes)
-    return BoundReport("inertia_milp", Fraction(value), k, exact=spectrum.exact,
-                       witness=witness)
+    if g.n_vertices != spectrum.n:
+        raise DimensionMismatch(f"{spectrum.n} eigenvalues for {g.n_vertices} vertices")
+    return _inertia_bound("inertia_milp", g, spectrum, k, max_nodes)
 
 
 def inertia_milp_walkreg(spectrum: Spectrum, k: int,
                          max_nodes: int = 1 << 20) -> BoundReport:
     """Optimal-polynomial Inertia-type bound from the spectrum alone.
 
-    Valid for k-partially walk-regular graphs (caller-verified): the
-    constant diagonal of p(A) equals (1/n) sum m_i p(theta_i), so pinning
-    it to zero is the single constraint sum_i m_i p(theta_i) = 0.
+    Valid for k-partially walk-regular graphs (caller-verified): every
+    vertex has the same diagonal (A^i)_vv = (1/n) sum_j m_j theta_j^i for
+    i <= k, so the program is `inertia_milp`'s with that one class.
     `max_nodes` is the work budget described at `inertia_milp`.
     """
-    if k == 1:
-        value, witness = _k1_inertia_value(spectrum)
-        return BoundReport("inertia_milp_walkreg", Fraction(value), k,
-                           exact=spectrum.exact, witness=witness)
-    eig_table = _eigen_power_table(spectrum, k)
-    trace_row = tuple(
-        sum(Fraction(m) * eig_table[j][i] for j, m in enumerate(spectrum.mults))
-        for i in range(k + 1))
-    value, witness = _inertia_search(spectrum, [(trace_row, EQ, Fraction(0))],
-                                     eig_table, max_nodes)
-    return BoundReport("inertia_milp_walkreg", Fraction(value), k,
-                       exact=spectrum.exact, witness=witness)
+    return _inertia_bound("inertia_milp_walkreg", None, spectrum, k, max_nodes)
 
 
 # ----------------------------------------------------------------------

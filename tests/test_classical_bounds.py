@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eigenbounds.algebra import FieldVector, make_field, ones_vector, unit_vector
@@ -43,6 +44,22 @@ def test_hamming_examples():
     assert cb.hamming_city_block(5, 1, 3) == Fraction(5, 2)
     assert cb.hamming_city_block(4, 3, 6) == Fraction(32, 5)
     assert cb.hamming_city_block(7, 2, 2) == 49  # t = 0: trivial bound m^n
+
+
+def test_hamming_reads_the_smallest_ball():
+    """The corner's ball is the smallest for every radius: against the
+    minimum over all centers, from brute-force L1 distances, for every
+    m^n <= 729 with m = 3..8 and every t."""
+    cases = 0
+    for m in range(3, 9):
+        for n in itertools.takewhile(lambda n: m**n <= 729, itertools.count(1)):
+            points = np.array(list(itertools.product(range(m), repeat=n)))
+            dist = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
+            for t in range(n * (m - 1) + 1):
+                eta = int((dist <= t).sum(axis=1).min())
+                assert cb.hamming_city_block(m, n, 2 * t + 1) == Fraction(m**n, eta), (m, n, t)
+                cases += 1
+    assert cases == 243
 
 
 def test_singleton_projective_examples():

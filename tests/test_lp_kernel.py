@@ -357,7 +357,7 @@ def test_integer_kernel_equals_fraction_kernel_on_random_programs(integer_kernel
 
 
 def test_integer_kernel_equals_fraction_kernel_on_tables(integer_kernel, monkeypatch):
-    """The same on every exact LP of tables 2-6: the 101 simplex programs,
+    """The same on every exact LP of tables 2-6: the 93 simplex programs,
     best-first feasibility and ratio LPs, all on tables 3-5."""
     programs, solve = [], lp_kernel.solve_lp
 
@@ -369,7 +369,7 @@ def test_integer_kernel_equals_fraction_kernel_on_tables(integer_kernel, monkeyp
     monkeypatch.setattr(lp_kernel, "solve_lp", capture)
     monkeypatch.setattr(spectral_bounds, "solve_lp", capture)
     assert all(tables.verify_table(t) for t in range(2, 7))
-    assert len(programs) == 101
+    assert len(programs) == 93
     _assert_equal_to_fraction_kernel(integer_kernel, programs)
 
 

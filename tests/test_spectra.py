@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,16 @@ def test_spectrum_invariants():
         Spectrum((1, 2), (1, 1), exact=True)  # not descending
     s = Spectrum((4, 0, -4), (1, 6, 1), exact=True)
     assert s.n == 8 and s.r == 2 and s.trace() == 0
+
+
+@pytest.mark.parametrize("distinct", [(1.5, -1.5), (Fraction(1, 2), Fraction(-1, 2))])
+def test_exact_spectrum_takes_integers_only(distinct):
+    """An integer symmetric matrix's rational eigenvalues are integers, so
+    an exact spectrum of other values is refused; a float one takes them."""
+    with pytest.raises(ValueError):
+        Spectrum(distinct, (1, 1), exact=True)
+    assert not Spectrum(distinct, (1, 1), exact=False).exact
+    assert Spectrum((1, -1), (1, 1), exact=True).exact
 
 
 def test_city_block_spectrum_small():

@@ -13,6 +13,7 @@ from eigenbounds.errors import (
     AssumptionViolated,
     BudgetExceeded,
     DegreeTooHigh,
+    DimensionMismatch,
     NotApplicable,
     NotRegular,
     NumericalInconsistency,
@@ -52,12 +53,14 @@ def test_rationalize():
 def test_inertia_type_bound_examples():
     g = complete_graph(3)
     spec = Spectrum((2, -1), (1, 2), exact=True)
-    assert sb.inertia_type_bound(g, spec, X, 1).floored == 1
+    rep = sb.inertia_type_bound(g, spec, X, 1)
+    assert rep.floored == 1 and rep.exact
     # path on 3 vertices (city block m=3, n=1): min count is 2
     space = mt.CityBlockSpace(3, 1)
     g = gr.build_distance_graph(space)
     spec = city_block_spectrum(3, 1)
-    assert sb.inertia_type_bound(g, spec, X, 1).floored == 2
+    rep = sb.inertia_type_bound(g, spec, X, 1)
+    assert rep.floored == 2 and not rep.exact  # float counts carry a slack
     # the zero polynomial degenerates to n
     zero = Polynomial.from_list([0])
     assert sb.inertia_type_bound(g, spec, zero, 1).floored == 3
@@ -68,6 +71,31 @@ def test_inertia_type_degree_guard():
     spec = Spectrum((2, -1), (1, 2), exact=True)
     with pytest.raises(DegreeTooHigh):
         sb.inertia_type_bound(g, spec, Polynomial.from_list([0, 0, 1]), 1)
+
+
+def test_inertia_bounds_refuse_a_spectrum_of_another_size():
+    """City block (3,2) has 9 vertices; the (4,2) spectrum has 16
+    eigenvalues and phase rotation (3,3)'s 27.  Both used to give a bound
+    silently (6 and 13, where the graph's own spectrum gives 3)."""
+    g = gr.build_distance_graph(mt.CityBlockSpace(3, 2))
+    with pytest.raises(DimensionMismatch):
+        sb.inertia_milp(g, city_block_spectrum(4, 2), 2)
+    with pytest.raises(DimensionMismatch):
+        sb.inertia_type_bound(g, phase_rotation_spectrum(3, 3), X, 1)
+    assert sb.inertia_milp(g, city_block_spectrum(3, 2), 2).floored == 3
+
+
+def test_inertia_milp_on_an_edgeless_graph():
+    """One distinct eigenvalue: the float route widens the Chebyshev
+    domain around it and pins a pattern without zeros as it is, giving the
+    exact spectrum's value 3, with no warning."""
+    g = gr.Graph(np.zeros((3, 3), np.uint8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = spectrum_of_graph(g)
+        assert not spec.exact and spec.r == 0
+        assert sb.inertia_milp(g, spec, 2).raw_value == 3
+    assert sb.inertia_milp(g, Spectrum((0,), (3,), exact=True), 2).raw_value == 3
 
 
 def test_inertia_type_scale_invariance():
@@ -100,10 +128,13 @@ def joint_rows(g, k):
 
 
 def walkreg_rows(spec, k):
-    """`sb.inertia_milp_walkreg`'s base row: sum_i m_i p(theta_i) = 0."""
-    eig_table = sb._eigen_power_table(spec, k)
-    return [(tuple(sum(Fraction(m) * eig_table[j][i] for j, m in enumerate(spec.mults))
-                   for i in range(k + 1)), "==", Fraction(0))]
+    """`sb.inertia_milp_walkreg`'s base row: the one class diagonal of p(A)
+    is at least 0, u_i = (1/n) sum_j m_j theta_j^i, with a float
+    spectrum's powers rationalized."""
+    def power(t, i):
+        return Fraction(t) ** i if spec.exact else sb.rationalize(float(t) ** i)
+    return [(tuple(sum(m * power(t, i) for t, m in zip(spec.distinct, spec.mults)) / spec.n
+                   for i in range(k + 1)), ">=", 0)]
 
 
 def searched_inertia_milp(g, spec, k):
@@ -134,6 +165,40 @@ def test_k1_shortcut_equals_generic(monkeypatch):
     sb.inertia_milp(g, spec, 2)
     sb.inertia_milp_walkreg(cases[0], 2)
     assert [rows for rows, _, _ in captured] == [joint_rows(g, 2), walkreg_rows(cases[0], 2)]
+
+
+def walk_regular_instances():
+    """(space, k) for every row of tables 3-5 with k >= 2, and for each
+    field metric among the first 200 draws of criterion 9's generator at
+    k = 2 and 3."""
+    from test_graphs import _criterion_9_spaces  # test_graphs imports this module
+    for table_id in (3, 4, 5):
+        for row in tables.load_fixture(table_id):
+            if int(row["k"]) >= 2:
+                yield tables.make_space(tables.TABLE_METRIC[table_id], **row), int(row["k"])
+    for space in _criterion_9_spaces(200):
+        if tables.kind_of(space).field_metric:
+            yield space, 2
+            yield space, 3
+
+
+def test_walkreg_class_is_the_graphs_one_diagonal_class(monkeypatch):
+    """On walk-regular graphs the spectrum's one class is
+    `graphs.diagonal_classes`' only class, so both entry points search the
+    same base rows and find the same optimum."""
+    searches = _captured_searches(monkeypatch)
+    cases = 0
+    for space, k in walk_regular_instances():
+        g = gr.build_distance_graph(space)
+        spec = tables.spectrum_for(space)
+        general = sb.inertia_milp(g, spec, k, max_nodes=4000)
+        walkreg = sb.inertia_milp_walkreg(spec, k, max_nodes=4000)
+        (rows, _, _), (walkreg_base, _, _) = searches
+        assert rows == walkreg_base == [(gr.diagonal_classes(g.adjacency, k)[0], ">=", 0)]
+        assert general.raw_value == walkreg.raw_value, (space.name, k)
+        searches.clear()
+        cases += 1
+    assert cases == 279
 
 
 @pytest.mark.parametrize("q,n,k,expect", [
@@ -167,7 +232,8 @@ def float_instance(metric, **params):
 
 
 def exact_search(spectrum, base_rows, eig_table, max_nodes):
-    """Reference: best-first search with an exact oracle and no float screen."""
+    """Reference: the best-first search with the exact oracle, which the
+    float route does not run."""
     oracle = sb._PatternOracle(base_rows, eig_table)
     value, b = lp_kernel.minimize_over_binaries(spectrum.mults, oracle, max_nodes)
     return value, {"pattern": b, "polynomial": oracle.last_solution}
@@ -303,7 +369,7 @@ def test_joint_program_equals_per_class_minimum(metric, params, k, monkeypatch):
     assert exact_search(spec, base_rows, eig_table, 1 << 20)[0] == per_class_min == rep.raw_value
 
 
-def test_float_milp_rejected_proposal_falls_back_to_exact(monkeypatch):
+def test_unpinnable_proposal_raises_without_a_search(monkeypatch):
     """A proposal whose point cannot be pinned raises; the float route runs
     no exact search or simplex in its place."""
     g, spec = float_instance("city-block", m=3, n=2)
@@ -340,8 +406,8 @@ def _counting_solve_lp(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("all_zeros", [False, True], ids=["non-optimal-x", "failure-status"])
-def test_wrong_float_point_runs_the_exact_fallback(all_zeros, monkeypatch):
+@pytest.mark.parametrize("all_zeros", [False, True], ids=["winning-pattern", "all-zeros"])
+def test_zero_point_cannot_be_pinned(all_zeros, monkeypatch):
     """p = 0 cannot be pinned: after a_0 is set its largest value over any
     zero is 0, not below.  `pin` says so without an LP, on city block
     (3,2), k=2's winning pattern and on the all-zeros one, and a MILP
@@ -388,7 +454,7 @@ def _float_table_inertia():
             assert result.cell("inertia") == row["inertia"]
 
 
-def test_min_norm_fallbacks_are_pinned(monkeypatch):
+def test_float_table_milp_and_lp_counts_are_pinned(monkeypatch):
     """Tables 2 and 6 confirm each row's pattern from its MILP's point; count
     the exact-simplex solves (none: the float route runs no LP), the HiGHS
     MILPs that proposed the patterns, and HiGHS LPs (none: no LP is solved

@@ -186,9 +186,9 @@ def test_cli_usage_error_exits_2(argv, message, capsys):
 
 def test_cli_reports_an_unpinnable_milp_point(monkeypatch, capsys):
     """A float inertia MILP whose point cannot be pinned exactly is an
-    error, not a reported bound."""
+    error, not a reported bound: p = 0 is not below 0 on any zero."""
     monkeypatch.setattr(sb, "_propose_pattern", lambda spectrum, oracle, max_nodes:
-                        (0, (1,) * len(spectrum.distinct), np.zeros(oracle.n_vars)))
+                        (0, (0,) * len(spectrum.distinct), np.zeros(oracle.n_vars)))
     code, text = run_cli(["bound", "city-block", "--m", "3", "--n", "2", "--k", "2",
                           "--bounds", "inertia"])
     assert code == 2 and text == ""
@@ -402,8 +402,8 @@ def test_hint_at_the_bound_certifies_before_search_set_up(monkeypatch):
 
 def test_table_exact_lp_work_is_pinned(monkeypatch):
     """Work counters of the exact LPs on tables 3-5 (exact spectra): the
-    best-first searches try 73 patterns, 13 of them pruned by a Farkas
-    core and 60 decided by a feasibility LP, and the ratio bound solves
+    best-first searches try 73 patterns, 21 of them pruned by a Farkas
+    core and 52 decided by a feasibility LP, and the ratio bound solves
     41 minor-polynomial LPs."""
     counts = dict.fromkeys(("feasibility", "ratio", "patterns", "core_pruned"), 0)
 
@@ -428,7 +428,7 @@ def test_table_exact_lp_work_is_pinned(monkeypatch):
     monkeypatch.setattr(sb, "solve_lp", counting("ratio", sb.solve_lp))
     monkeypatch.setattr(lp_kernel, "minimize_over_binaries", counted_search)
     assert all(tables.verify_table(t) for t in range(3, 6))
-    assert counts == {"feasibility": 60, "ratio": 41, "patterns": 73, "core_pruned": 13}
+    assert counts == {"feasibility": 52, "ratio": 41, "patterns": 73, "core_pruned": 21}
 
 
 def test_cli_verify_takes_no_budget(capsys):
