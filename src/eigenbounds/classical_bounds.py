@@ -52,7 +52,9 @@ def hamming_city_block(m: int, n: int, d: int) -> Fraction:
     the corner's.  Per coordinate, the corner's counts by distance (1, 1,
     ..., 1) are prefix-dominated by any other position's (1, 2, ..., 2, 1,
     ..., 1), both summing to m, and convolution over the n coordinates
-    keeps that dominance."""
+    keeps that dominance.  NotApplicable for d < 1 (no radius t >= 0)."""
+    if d < 1:
+        raise NotApplicable("d >= 1 required")
     t = (d - 1) // 2
     return Fraction(m**n, ball_size_city_block((0,) * n, t, m))
 

@@ -154,13 +154,21 @@ def power_graph(g: Graph, k: int) -> Graph:
 def diagonal_classes(adjacency: np.ndarray, k: int) -> list[tuple[int, ...]]:
     """The distinct vectors ((A^0)_vv, ..., (A^k)_vv) over the vertices v,
     sorted, as tuples of Python ints: k sparse (CSR x CSR) int64 products,
-    keeping only each diagonal.  A walk count (A^i)_uv is at most
-    delta^(i-1), so TooLarge is raised unless delta^(k-1) < 2^63."""
-    a = csr_matrix(adjacency, dtype=np.int64)
-    delta = int(np.diff(a.indptr).max(initial=0))
+    keeping only each diagonal.  A's CSR is built, as `power_graph` builds
+    its neighbour table, from the flat nonzero positions and the degrees.
+    A walk count (A^i)_uv is at most delta^(i-1), so TooLarge is raised
+    unless delta^(k-1) < 2^63."""
+    nonzero = np.asarray(adjacency, dtype=np.uint8).view(bool)
+    n = len(nonzero)
+    cols = np.flatnonzero(nonzero)
+    deg = np.count_nonzero(nonzero, axis=1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    a = csr_matrix((np.ones(len(cols), dtype=np.int64), cols % n, indptr), shape=(n, n))
+    delta = int(deg.max(initial=0))
     if delta ** max(k - 1, 0) >= 2**63:
         raise TooLarge(f"walk counts up to {delta}^{k - 1} overflow int64")
-    power = identity(a.shape[0], dtype=np.int64, format="csr")
+    power = identity(n, dtype=np.int64, format="csr")
     diags = [power.diagonal()]
     for _ in range(k):
         power = a @ power

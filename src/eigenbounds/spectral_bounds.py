@@ -26,16 +26,24 @@ The Ratio-type bounds take exact spectra only and raise NotApplicable on
 a float one: only the field metrics get them, and their spectra are
 exact.
 
-The MILPs run with HiGHS's root primal heuristic Feasibility Jump off
-(`mip_heuristic_run_feasibility_jump=False`): on tables 2 and 6 it took
-about half of HiGHS's time, also on MILPs that close at the root node.  A
-primal heuristic only finds incumbents early; optimality comes from
-presolve and the branch-and-bound search, and every proposal is still
-confirmed exactly, so the setting cannot change an optimum value (where
-patterns tie, HiGHS may return another of equal weight).  scipy passes
-the option to HiGHS verbatim; a HiGHS build that does not know it warns
-("Unrecognized options detected") and skips it, so the MILPs then run as
-before, with the heuristic.
+The MILPs run with the HiGHS options in `MILP_OPTIONS`.  Three primal
+heuristics are off: Feasibility Jump, and the sub-MIP heuristics RENS and
+RINS (Danna, Rothberg & Le Pape, Math. Program. 2005).
+`mip_pscost_minreliable=0` skips reliability branching's strong-branching
+LPs (Achterberg, Koch & Martin, Oper. Res. Lett. 2005): a variable's
+pseudocosts count as reliable from the start.  On tables 2 and 6 these
+MILPs have 7-27 columns and most close at the root node, yet the
+heuristics and the strong branching took most of HiGHS's time there.  No
+option can change an optimum value.  A heuristic only supplies
+incumbents, the reliability setting only changes the branching order, and
+`mip_rel_gap=0` still proves the optimum.  Every proposal is also
+confirmed exactly.  Where patterns tie, HiGHS may return another of equal
+weight.  Without strong branching, branch and bound takes more nodes,
+each cheaper, so a `max_nodes` budget covers fewer instances: city block
+(6,3) takes 597 nodes at k=2 (385 with strong branching) and 502 at k=3
+(125).  scipy passes the options to HiGHS verbatim; a HiGHS build that
+does not know one warns ("Unrecognized options detected") and skips it,
+so the MILPs then run with that default.
 
 Floating spectra (city block, Varshamov) enter the inertia programs
 through eigenvalue powers rationalized at denominator 2^40 (error
@@ -184,6 +192,13 @@ def _k1_inertia_value(spectrum: Spectrum) -> tuple[int, dict]:
 
 
 MILP_COEFF_BOX = 1e4  # |c_i| <= box on the Chebyshev coefficients of p
+# HiGHS options of every inertia MILP besides its node limit; the module
+# docstring says why none of them can change an optimum value
+MILP_OPTIONS = {"mip_rel_gap": 0,
+                "mip_heuristic_run_feasibility_jump": False,
+                "mip_heuristic_run_rens": False,
+                "mip_heuristic_run_rins": False,
+                "mip_pscost_minreliable": 0}
 
 
 def _split(coeffs, rel, rhs) -> tuple:
@@ -352,8 +367,7 @@ def _propose_pattern(spectrum: Spectrum, oracle: _PatternOracle,
     res = _quiet_milp(weights, constraints=constraints, integrality=weights > 0,
                       bounds=Bounds([-MILP_COEFF_BOX] * (k + 1) + [0] * r1,
                                     [MILP_COEFF_BOX] * (k + 1) + [1] * r1),
-                      options={"node_limit": max_nodes, "mip_rel_gap": 0,
-                               "mip_heuristic_run_feasibility_jump": False})
+                      options={"node_limit": max_nodes, **MILP_OPTIONS})
     if res.status != 0:
         raise BudgetExceeded(f"inertia MILP unsolved within {max_nodes} nodes: {res.message}")
     b = tuple(int(round(x)) for x in res.x[k + 1:])
@@ -369,7 +383,7 @@ def _inertia_search(spectrum: Spectrum, base_rows: list, eig_table: list,
     point that cannot be pinned raises NumericalInconsistency.  The MILP's
     rows have coefficients of at most about 1 and ask p <= -1 on the
     zeros, so a pin fails only if HiGHS breaks its own rows by about 1
-    (on tables 2 and 6 the pinned value stays at most -0.99999998).
+    (on tables 2 and 6 the pinned value stays at most -0.9999998).
     """
     oracle = _PatternOracle(base_rows, eig_table)
     if spectrum.exact:

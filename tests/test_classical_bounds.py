@@ -44,6 +44,14 @@ def test_hamming_examples():
     assert cb.hamming_city_block(5, 1, 3) == Fraction(5, 2)
     assert cb.hamming_city_block(4, 3, 6) == Fraction(32, 5)
     assert cb.hamming_city_block(7, 2, 2) == 49  # t = 0: trivial bound m^n
+    assert cb.hamming_city_block(7, 2, 1) == 49
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_hamming_refuses_d_below_1(d):
+    """d < 1 gives no radius t >= 0 and an empty ball to divide by."""
+    with pytest.raises(NotApplicable):
+        cb.hamming_city_block(3, 2, d)
 
 
 def test_hamming_reads_the_smallest_ball():

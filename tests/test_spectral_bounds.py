@@ -485,7 +485,7 @@ def test_float_table_milp_and_lp_counts_are_pinned(monkeypatch):
 def test_pinned_points_keep_their_margin(monkeypatch):
     """On the float searches of tables 2 and 6, `pin`'s largest value of p
     over the pattern's zeros, before it scales p to make that value -1, is
-    at most -1/2 (measured: at most -0.99999998).  A point fails to pin
+    at most -1/2 (measured: at most -0.9999998).  A point fails to pin
     only once that value reaches 0, so a HiGHS change that erodes the
     margin fails here before it fails a search."""
     proposals = []
@@ -508,11 +508,34 @@ def test_pinned_points_keep_their_margin(monkeypatch):
         assert top <= PIN_MARGIN, (b, float(top))
 
 
-def test_milp_skips_feasibility_jump(monkeypatch):
+def test_milp_runs_with_the_module_options(monkeypatch):
+    """The inertia MILP passes its node limit and `MILP_OPTIONS`: an exact
+    gap, no Feasibility Jump, RENS or RINS, and no strong-branching
+    reliability set-up."""
     options = _captured_milp_options(monkeypatch)
     assert sb.inertia_milp(*float_instance("city-block", m=3, n=2), 2).floored == 3
-    assert options == [{"node_limit": 1 << 20, "mip_rel_gap": 0,
-                        "mip_heuristic_run_feasibility_jump": False}]
+    assert options == [{"node_limit": 1 << 20, **sb.MILP_OPTIONS}]
+    assert sb.MILP_OPTIONS == {"mip_rel_gap": 0,
+                               "mip_heuristic_run_feasibility_jump": False,
+                               "mip_heuristic_run_rens": False,
+                               "mip_heuristic_run_rins": False,
+                               "mip_pscost_minreliable": 0}
+
+
+def test_highs_knows_every_milp_option():
+    """`_quiet_milp` silences HiGHS's warning about options it does not
+    know, so a misspelled name would be dropped without a sign; here the
+    options go to `scipy.optimize.milp` directly, and its HiGHS wrapper
+    must not warn about any of them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = scipy.optimize.milp(np.ones(2), integrality=np.ones(2),
+                                  bounds=scipy.optimize.Bounds(0, 1),
+                                  options={"node_limit": 10, **sb.MILP_OPTIONS})
+    assert res.status == 0 and res.fun == 0
+    unknown = [w for w in caught if issubclass(w.category, scipy.optimize.OptimizeWarning)
+               and "Unrecognized options detected" in str(w.message)]
+    assert unknown == []
 
 
 def test_inertia_milp_warns_nothing():
