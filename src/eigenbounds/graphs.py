@@ -267,14 +267,18 @@ def _greedy_clique_cover(cand: int, adj: list[int], floor: int) -> list[tuple[in
     return order
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending."""
+    bits = []
+    while mask:
+        bits.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return bits
+
+
 def _greedy_independent(cand: int, adj: list[int], reverse: bool = False) -> int:
     chosen = 0
-    bits = []
-    rest = cand
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        bits.append(v)
+    bits = _bits(cand)
     if reverse:
         bits.reverse()
     blocked = 0
@@ -328,14 +332,22 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
     `automorphism_generators` may carry vertex permutations (validated as
     automorphisms, invalid ones dropped); they drive orbital branching at
     every depth.  Each node holds generators of a group that fixes `chosen`
-    pointwise and maps `cand` onto itself.  Once vertex v's branch is done,
-    v's whole orbit under that group leaves `cand`, and v's child gets the
-    generators that fix v.  This is exact: the removed orbits are invariant
-    under the group, so `cand` stays invariant, and so does every child's
-    candidate set under the child's generators.  Any independent set in
-    `cand` that meets v's orbit maps, under some group element, onto one of
-    the same size that contains v, so v's branch has already covered it.
-    Without generators the orbit is v alone and this is the plain
+    pointwise and maps `cand` onto itself.  When the cover order reaches a
+    vertex, the node branches instead on its orbit's representative under
+    that group: the member fixed by the most generators, the lowest permuted
+    index among equals.  Its child gets the generators that fix it, as many
+    as any member of the orbit would keep (on a field metric the root
+    branches on 0, whose child keeps every scaling and coordinate map; a
+    translation fixes no vertex).  Once the representative's branch is done,
+    its whole orbit leaves `cand`.  This is exact: the removed orbits are
+    invariant under the group, so `cand` stays invariant, and so does every
+    child's candidate set under the child's generators.  The orbit lies
+    inside `cand` and any independent set in `cand` that meets it maps,
+    under some group element, onto one of the same size inside `cand` that
+    contains the representative, so its branch has already covered it.  The
+    cover bound that admitted the branch holds for every member of the
+    orbit, since all of `cand` lies in the cover-order prefix it bounds.
+    Without generators the orbit is the vertex alone and this is the plain
     clique-cover search.
 
     `upper_bound` may carry a proven bound on alpha: the search stops with
@@ -392,6 +404,9 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
                 return
             if not (cand >> v) & 1:
                 continue  # in the orbit of a finished branch
+            if gens:  # branch on the orbit member most generators fix
+                orbit = _orbit(v, gens)
+                v = max(_bits(orbit), key=lambda u: (sum(gen[u] == u for gen in gens), -u))
             # `cand` shrinks to the cover-order prefix before v, less finished orbits
             cand ^= 1 << v
             new_chosen = chosen | (1 << v)
@@ -402,7 +417,7 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
             elif size + 1 > best[0]:
                 improve(size + 1, new_chosen)
             if gens:
-                cand &= ~_orbit(v, gens)
+                cand &= ~orbit
 
     exact = True
     certified = best[0] >= stop
@@ -419,13 +434,7 @@ def max_independent_set(g: Graph, max_nodes: int = MAX_NODES,
         raise InternalError(f"upper bound {upper_bound} is below an independent set "
                             f"of size {best[0]}")
 
-    cert = []
-    rest = best[1]
-    while rest:
-        p = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        cert.append(perm[p])
-    cert.sort()
+    cert = sorted(perm[p] for p in _bits(best[1]))
     # certificate sanity: independence in the original adjacency
     if g.adjacency[cert][:, cert].any():
         raise AssertionError("internal error: certificate not independent")

@@ -129,6 +129,19 @@ def _adjacent_swaps(space) -> list:
     return [_transpose((i, i + 1)) for i in range(space.n - 1)]
 
 
+def _phase_rotation_maps(space) -> list:
+    """The adjacent swaps, and x -> (-x_1, x_2 - x_1, ..., x_n - x_1): it sends
+    e_1 -> -1 and 1 -> -e_1 and fixes the other e_i, so it permutes the lines
+    the unit sphere spans.  With the swaps and the scalings it generates, for
+    n >= 2, all (q-1)(n+1)! linear maps that permute those n+1 lines."""
+    neg, add = space.field.neg_table, space.field.add_table
+
+    def line_map(digits):
+        first = neg[digits[:, :1]]
+        return np.concatenate([first, add[digits[:, 1:], first]], axis=1)
+    return _adjacent_swaps(space) + [line_map]
+
+
 def _block_maps(space) -> list:
     partition = space.params.partition
     maps = [_transpose((blk[0] - 1, blk[1] - 1)) for blk in partition if len(blk) >= 2]
@@ -210,7 +223,7 @@ KINDS: dict[str, MetricKind] = {
         classical={"singleton": lambda s, d: cb.singleton_phase_rotation(
             s.field.q, s.n, d)},
         params=lambda s: {"n": s.n, "q": s.field.q},
-        coordinate_maps=_adjacent_swaps),
+        coordinate_maps=_phase_rotation_maps),
     "block": MetricKind(
         build=_build_block,
         spectrum=_cayley_spectrum,
@@ -277,7 +290,10 @@ def alpha_hints(space: mt.MetricSpace, k: int,
 def automorphism_generators(space: mt.MetricSpace) -> list[list[int]]:
     """Vertex permutations that are metric symmetries by construction:
     translations and scalar maps for the field metrics, then the metric's
-    coordinate isometries, all as index arithmetic on `space.digits()`.
+    `coordinate_maps`, isometries given as maps on the digit array
+    (coordinate swaps and reflections, and phase rotation's line map
+    x -> (-x_1, x_2 - x_1, ..., x_n - x_1)), all as index arithmetic on
+    `space.digits()`.
 
     The oracle re-validates every permutation against the adjacency matrix
     and silently drops anything that fails, so this list only needs to be

@@ -297,7 +297,7 @@ def test_criterion_9_randomized_soundness():
             # a handful of random instances are out of the exact oracle's
             # reach at this budget; soundness needs exact alpha, so redraw.
             # The budget counts nodes, so these draws depend on the seed
-            # alone: each completed draw needs at most 9,444 nodes and
+            # alone: each completed draw needs at most 2,223 nodes and
             # each redrawn one more than 150,000
             skipped += 1
             continue

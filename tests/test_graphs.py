@@ -11,7 +11,7 @@ from scipy.sparse import csr_matrix, identity
 import math
 from fractions import Fraction
 
-from eigenbounds.algebra import FieldVector, make_field
+from eigenbounds.algebra import FieldVector, make_field, ones_vector, unit_vector
 from eigenbounds.errors import Disconnected, DimensionMismatch, InternalError, TooLarge
 from eigenbounds import graphs as gr
 from eigenbounds import metrics as mt
@@ -371,6 +371,9 @@ def _label_walk_generators(space) -> list[list[int]]:
                 + [[index[x.scale(c)] for x in labels]
                    for c in space.field.nonzero() if c != 1])
         maps = [lambda x, fn=fn: FieldVector(x.field, fn(x.coords)) for fn in maps]
+        if space.name == mt.PHASE_ROTATION:  # x -> x - x_1 (1 + e_1)
+            line = ones_vector(space.field, space.n) + unit_vector(space.field, space.n, 0)
+            maps.append(lambda x: x - line.scale(x.coords[0]))
     return gens + [[index[fn(x)] for x in labels] for fn in maps]
 
 
@@ -685,12 +688,12 @@ def test_adjacency_bitmasks_match_loop():
 
 def test_mis_node_count_is_pinned():
     """The search tree depends only on the graph: phase rotation (3,5), k=2
-    with its automorphisms expands 9,444 nodes and no bound stops it."""
+    with its automorphisms expands 2,223 nodes and no bound stops it."""
     space = pr_space(3, 5)
     res = gr.k_independence_number(
         gr.build_distance_graph(space), 2, initial=tables.alpha_hints(space, 2),
         automorphism_generators=tables.automorphism_generators(space))
-    assert (res.alpha, res.nodes, res.exact, res.certified) == (11, 9444, True, False)
+    assert (res.alpha, res.nodes, res.exact, res.certified) == (11, 2223, True, False)
 
 
 @pytest.mark.parametrize("n, density, nodes", [(60, 0.1, 1819), (100, 0.2, 44268)])
@@ -733,11 +736,13 @@ def _block(n, partition):
     (pr_space(3, 4), 1), (pr_space(3, 4), 2), (pr_space(2, 6), 1), (pr_space(2, 6), 2),
     (_block(6, ((1, 2), (3,), (4, 5), (6,))), 1), (_block(6, ((1, 2), (3,), (4, 5), (6,))), 2),
     (_block(7, ((1, 2, 3), (4,), (5, 6), (7,))), 2),
+    (pr_space(4, 3), 2), (pr_space(5, 3), 2),
 ], ids=["pr-3-4-k1", "pr-3-4-k2", "pr-2-6-k1", "pr-2-6-k2",
-        "block-2-6-k1", "block-2-6-k2", "block-2-7-k2"])
+        "block-2-6-k1", "block-2-6-k2", "block-2-7-k2", "pr-4-3-k2", "pr-5-3-k2"])
 def test_orbital_branching_keeps_alpha_on_metric_spaces(space, k):
     """Table-sized power graphs: the metric's automorphisms give the alpha
-    of the search without them."""
+    of the search without them, and each certificate is a code of minimum
+    distance k + 1 by the metric itself."""
     g = gr.power_graph(gr.build_distance_graph(space), k)
     plain = gr.max_independent_set(g)
     orbital = gr.max_independent_set(
@@ -745,6 +750,33 @@ def test_orbital_branching_keeps_alpha_on_metric_spaces(space, k):
     _assert_exact_independent(g, plain)
     _assert_exact_independent(g, orbital)
     assert orbital.alpha == plain.alpha
+    labels = space.elements()
+    for res in (plain, orbital):
+        code = [labels[i] for i in res.certificate]
+        assert all(space.distance(x, y) > k for x, y in itertools.combinations(code, 2))
+
+
+def test_depth_one_child_keeps_every_linear_generator(monkeypatch):
+    """On phase rotation (3,5), k=2 the root branches on vertex 0, which
+    every scaling and coordinate map fixes and no translation does, so its
+    child searches with all of those generators.  Counted at `_orbit`,
+    which each node calls with its own generators: the root with all of
+    them, every other node with no translation, and only a node whose
+    chosen set is {0} with every linear generator."""
+    space = pr_space(3, 5)
+    gens = tables.automorphism_generators(space)
+    linear = len(gens) - len(space.unit_sphere())
+    calls = []
+    orbit = gr._orbit
+
+    def counted(v, node_gens):
+        calls.append(len(node_gens))
+        return orbit(v, node_gens)
+    monkeypatch.setattr(gr, "_orbit", counted)
+    gr.k_independence_number(gr.build_distance_graph(space), 2,
+                             initial=tables.alpha_hints(space, 2), automorphism_generators=gens)
+    assert max(calls) == len(gens)
+    assert max(c for c in calls if c < len(gens)) == linear
 
 
 def test_mis_upper_bound_exit():

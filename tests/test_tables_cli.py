@@ -3,6 +3,7 @@
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -93,7 +94,7 @@ def test_metric_facts(metric, params, bounds, exact, row_params):
 @pytest.mark.parametrize("metric, params, count", [
     ("city-block", {"m": 4, "n": 3}, 5),
     ("projective", {"q": 3, "subspaces": "1,0,0;0,1,0;0,0,1;1,1,1"}, 9),
-    ("phase-rotation", {"q": 4, "n": 3}, 16),
+    ("phase-rotation", {"q": 4, "n": 3}, 17),
     ("block", {"q": 2, "partition": "1,2|3,4|5"}, 10),
     ("cyclic-burst", {"q": 3, "n": 4, "b": 2}, 27),
     ("varshamov", {"n": 5}, 4),
@@ -106,6 +107,42 @@ def test_automorphism_generators_are_genuine(metric, params, count):
     gens = tables.automorphism_generators(space)
     assert len(gens) == count
     assert all(gr._is_automorphism(g, perm) for perm in gens)
+
+
+PHASE_ROTATION_SIZES = [(2, 4), (3, 3), (4, 2), (5, 2)]  # GF(4) is not a prime field
+
+
+@pytest.mark.parametrize("q, n", PHASE_ROTATION_SIZES)
+def test_phase_rotation_line_map_is_an_isometry(q, n):
+    """x -> (-x_1, x_2 - x_1, ..., x_n - x_1), as the last coordinate map
+    applies it to the digit array, keeps every weight."""
+    space = tables.make_space("phase-rotation", q=q, n=n)
+    radix, digits = space.digits()
+    line_map = tables.kind_of(space).coordinate_maps(space)[-1]
+    labels = space.elements()
+    images = line_map(digits) @ radix
+    assert sorted(images.tolist()) == list(range(len(labels)))
+    assert all(space.weight(labels[y]) == space.weight(x) for x, y in zip(labels, images))
+
+
+@pytest.mark.parametrize("q, n", PHASE_ROTATION_SIZES)
+def test_phase_rotation_linear_generators_give_every_line_isometry(q, n):
+    """The scalings and coordinate maps fix 0 and generate, by brute-force
+    closure, a group of order (q-1)(n+1)!: every permutation of the n+1
+    lines e_1..e_n, 1, times the q-1 scalings."""
+    space = tables.make_space("phase-rotation", q=q, n=n)
+    linear = tables.automorphism_generators(space)[len(space.unit_sphere()):]
+    group = {tuple(range(space.ambient_size))}
+    frontier = list(group)
+    while frontier:
+        element = frontier.pop()
+        for gen in linear:
+            image = tuple(gen[x] for x in element)
+            if image not in group:
+                group.add(image)
+                frontier.append(image)
+    assert len(group) == (q - 1) * math.factorial(n + 1)
+    assert all(element[0] == 0 for element in group)
 
 
 def run_cli(argv):
@@ -337,7 +374,7 @@ def test_cli_verify_table4():
 
 def test_table_oracle_node_count_is_pinned(monkeypatch):
     """A work counter that holds on any machine: the alpha oracle expands
-    9,499 nodes over the 69 rows of tables 2-6."""
+    2,277 nodes over the 69 rows of tables 2-6."""
     oracle = gr.k_independence_number
     nodes = []
 
@@ -347,7 +384,7 @@ def test_table_oracle_node_count_is_pinned(monkeypatch):
         return res
     monkeypatch.setattr(gr, "k_independence_number", counted)
     assert all(tables.verify_table(t) for t in range(2, 7))
-    assert (len(nodes), sum(nodes)) == (69, 9499)
+    assert (len(nodes), sum(nodes)) == (69, 2277)
 
 
 def test_table_oracle_builds_bit_rows_only_where_it_searches(monkeypatch):
