@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -58,61 +57,35 @@ def format_partition(partition) -> str:
 # Incumbents and symmetries for the exact oracle, on vertex indices
 # ----------------------------------------------------------------------
 
-LINEAR_CODE_CANDIDATES = 4096  # generator matrices one linear-code search may try
-_BATCH_WORDS = 1 << 14  # codeword entries one batch of candidates holds (its memory)
-
-
 def linear_code_hint(space, k: int, target: int) -> list[int]:
     """Vertex indices of a linear code over GF(q) whose nonzero words all have
     metric weight > k, so that it is independent in the k-th power graph.
 
-    Tries systematic generator matrices [I_r | A], A in lexicographic order,
-    for r from floor(log_q target) down to 1, and returns the first code
-    found.  Returns [] once LINEAR_CODE_CANDIDATES matrices have failed.
-    A word's weight is its distance from 0, and the geodesic distance is the
-    metric, so the light words (weight <= k) are the radius-k ball around
-    vertex 0.  Candidates are checked in batches.
+    A linear lexicode (after Conway & Sloane, IEEE Trans. Inf. Theory 32,
+    1986): from C = {0}, while q |C| <= target, take the lowest vertex v at
+    distance > k from C and set C <- C + span(v).  Every new word c + a v
+    (a != 0) has weight dist(v, -a^-1 C) = dist(v, C) > k, because -a^-1 C
+    = C and a field metric's unit sphere is closed under translation and
+    under nonzero scaling, so x -> c x is an isometry (the guard is
+    `test_automorphism_generators_are_automorphisms`, over GF(4) too).
+    The vertices within distance k of C are k steps along
+    `space.translations()`.
     """
-    f, n, q = space.field, space.n, space.field.q
-    add, mul = f.add_table, f.mul_table
-    radix, _ = space.digits()
+    f = space.field
+    radix, digits = space.digits()
     steps = space.translations()
-    light = np.zeros(space.ambient_size, dtype=bool)
-    light[0] = True
-    for _ in range(k):
-        light[steps[light].ravel()] = True
-    top = 0
-    while top < n and q ** (top + 1) <= target:
-        top += 1
-    left = LINEAR_CODE_CANDIDATES
-    for r in range(top, 0, -1):
-        width = r * (n - r)
-        coefficients = np.array(list(itertools.product(range(q), repeat=r))[1:], dtype=np.intp)
-        heads = coefficients @ radix[:r]
-        count = min(left, q**width)
-        # A of candidate t holds the base-q digits of t, most significant first;
-        # t < LINEAR_CODE_CANDIDATES <= q^places, so only the last places are nonzero
-        places = min(width, LINEAR_CODE_CANDIDATES.bit_length())
-        batch = max(1, _BATCH_WORDS // (len(coefficients) * max(1, n - r)))
-        for start in range(0, count, batch):
-            ids = np.arange(start, min(count, start + batch), dtype=np.intp)
-            entries = np.zeros((len(ids), width), dtype=np.intp)
-            entries[:, width - places:] = (ids[:, None] // q ** np.arange(
-                places - 1, -1, -1, dtype=np.intp)) % q
-            entries = entries.reshape(len(ids), r, n - r)
-            # the rows of [I_r | A] are codewords: a light row rules A out cheaply
-            entries = entries[~light[radix[:r] + entries @ radix[r:]].any(axis=1)]
-            tails = np.zeros((len(entries), len(coefficients), n - r), dtype=np.intp)
-            for i in range(r):
-                tails = add[tails, mul[coefficients[None, :, i, None], entries[:, None, i]]]
-            words = heads + tails @ radix[r:]
-            heavy = ~light[words].any(axis=1)
-            if heavy.any():
-                return sorted([0] + words[heavy.argmax()].tolist())
-        left -= count
-        if not left:
-            return []
-    return []
+    code = np.zeros(1, dtype=np.intp)
+    while f.q * len(code) <= target:
+        near = np.zeros(space.ambient_size, dtype=bool)
+        near[code] = True
+        for _ in range(k):
+            near[steps[near].ravel()] = True
+        v = near.argmin()
+        if near[v]:
+            break
+        multiples = f.mul_table[:, digits[v]]  # a v for a in GF(q), as digits
+        code = (f.add_table[digits[code][:, None], multiples] @ radix).ravel()
+    return sorted(code.tolist())
 
 
 def _transpose(*pairs):
@@ -276,15 +249,14 @@ def spectrum_for(space: mt.MetricSpace, graph: Optional[gr.Graph] = None) -> Spe
 def alpha_hints(space: mt.MetricSpace, k: int,
                 target: Optional[int] = None) -> list[list[int]]:
     """Initial incumbents for the exact oracle: with a `target` (a proven
-    bound on alpha_k), a field metric gets the linear code that
-    `linear_code_hint` finds, if any.  The solver validates each hint by a
-    direct adjacency check; hints never replace the branch-and-bound
-    optimality proof.
+    bound on alpha_k), a field metric gets the lexicode `linear_code_hint`
+    builds up to that size.  The solver validates each hint by a direct
+    adjacency check; hints never replace the branch-and-bound optimality
+    proof.
     """
     if target is None or not kind_of(space).field_metric:
         return []
-    code = linear_code_hint(space, k, target)
-    return [code] if code else []
+    return [linear_code_hint(space, k, target)]
 
 
 def automorphism_generators(space: mt.MetricSpace) -> list[list[int]]:

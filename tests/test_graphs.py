@@ -292,8 +292,19 @@ def test_field_metric_distance_rejects_mismatched_vectors():
     assert checked == 4
 
 
-@pytest.mark.parametrize("metric, params", ONE_SPACE_PER_METRIC,
-                         ids=[m for m, _ in ONE_SPACE_PER_METRIC])
+# Field metrics over GF(4), where closure of the unit sphere under nonzero
+# scaling (which `tables.linear_code_hint` needs) goes beyond the GF(p)^*
+# orbits that `cayley_spectrum_abelian` checks
+GF4_FIELD_METRICS = [
+    ("projective", {"q": 4, "subspaces": "1,0,0;0,1,0;0,0,1;1,1,1"}),
+    ("block", {"q": 4, "partition": "1,2|3"}),
+    ("cyclic-burst", {"q": 4, "n": 4, "b": 2}),
+]
+
+
+@pytest.mark.parametrize("metric, params", ONE_SPACE_PER_METRIC + GF4_FIELD_METRICS,
+                         ids=[m for m, _ in ONE_SPACE_PER_METRIC]
+                         + [f"{m}-q4" for m, _ in GF4_FIELD_METRICS])
 def test_automorphism_generators_are_automorphisms(metric, params):
     space = tables.make_space(metric, **params)
     g = gr.build_distance_graph(space)

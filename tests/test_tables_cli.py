@@ -1,7 +1,6 @@
 """The bench layer (row computation, fixtures) and the CLI surface."""
 
 import io
-import itertools
 import json
 import math
 import os
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from eigenbounds import cli, graphs as gr, lp_kernel, spectral_bounds as sb, tables
-from eigenbounds.algebra import FieldVector
 from eigenbounds.errors import FixtureNotFound
 from eigenbounds.spectra import Spectrum
 
@@ -271,54 +269,28 @@ def test_linear_code_hints():
     assert (row.cell("alpha"), row.certified_by, row.oracle.nodes) == ("25", "ratio", 0)
 
 
-def _loop_linear_code_hint(space, k, target):
-    """Reference for `tables.linear_code_hint`: one candidate matrix at a
-    time, each codeword built by field arithmetic and weighed by
-    `space.weight` until the first light one."""
-    f, n = space.field, space.n
-    q = f.q
-    weights = {}
-
-    def heavy(word):
-        if word not in weights:
-            weights[word] = space.weight(FieldVector(f, word))
-        return weights[word] > k
-
-    def index(word):  # position in the lexicographic enumeration
-        i = 0
-        for c in word:
-            i = i * q + c
-        return i
-
-    top = 0
-    while top < n and q ** (top + 1) <= target:
-        top += 1
-    tried = 0
-    for r in range(top, 0, -1):
-        coefficients = [c for c in itertools.product(range(q), repeat=r) if any(c)]
-        for entries in itertools.product(range(q), repeat=r * (n - r)):
-            if tried == tables.LINEAR_CODE_CANDIDATES:
-                return []
-            tried += 1
-            rows = [entries[i * (n - r):(i + 1) * (n - r)] for i in range(r)]
-            words = []
-            for c in coefficients:
-                tail = [0] * (n - r)
-                for ci, row in zip(c, rows):
-                    for j, a in enumerate(row):
-                        tail[j] = f.add(tail[j], f.mul(ci, a))
-                word = c + tuple(tail)
-                if not heavy(word):
-                    break
-                words.append(word)
-            else:
-                return sorted([0] + [index(w) for w in words])
-    return []
+def _loop_lexicode(space, k, target):
+    """Reference for `tables.linear_code_hint`: scan the vertices in index
+    order for the first one whose difference from every codeword, built by
+    `FieldVector` arithmetic, has `space.weight` > k, and add its multiples
+    to the code.  A vertex passed over stays within distance k of the code,
+    which only grows, so one scan serves every step."""
+    q = space.field.q
+    vertices = space.elements()
+    code = [vertices[0]]
+    for v in vertices:
+        if q * len(code) > target:
+            break
+        if all(space.weight(v - c) > k for c in code):
+            code = [c + v.scale(a) for c in code for a in range(q)]
+    index = {v.coords: i for i, v in enumerate(vertices)}
+    return sorted(index[c.coords] for c in code)
 
 
 def test_linear_code_hint_equals_loop_reference():
     """On every row of tables 3-5, at the row's alpha, its smallest bound
-    and the ambient size as targets."""
+    and the ambient size as targets, the lexicode equals the loop reference
+    and holds at most `target` words."""
     for table_id in (3, 4, 5):
         for row in tables.load_fixture(table_id):
             space = tables.make_space(tables.TABLE_METRIC[table_id], **row)
@@ -326,8 +298,9 @@ def test_linear_code_hint_equals_loop_reference():
             bound = min(int(row[c]) for c in ("inertia", "ratio", "singleton")
                         if row[c] != "-")
             for target in (int(row["alpha"]), bound, space.ambient_size):
-                assert tables.linear_code_hint(space, k, target) == \
-                    _loop_linear_code_hint(space, k, target), (table_id, row, target)
+                code = tables.linear_code_hint(space, k, target)
+                assert code == _loop_lexicode(space, k, target), (table_id, row, target)
+                assert len(code) <= target
 
 
 def test_cli_spectrum_exact_and_check():
@@ -390,8 +363,8 @@ def test_table_oracle_node_count_is_pinned(monkeypatch):
 def test_table_oracle_builds_bit_rows_only_where_it_searches(monkeypatch):
     """A work counter that holds on any machine: over tables 3-5 the oracle
     runs 41 times, and a linear-code hint reaching the proven bound
-    certifies 31 of them before the search set-up, so bit rows are built
-    for the other 10."""
+    certifies 37 of them before the search set-up, so bit rows are built
+    for the other 4."""
     counts = dict.fromkeys(("oracle", "bit_rows"), 0)
 
     def counting(key, fn):
@@ -402,7 +375,7 @@ def test_table_oracle_builds_bit_rows_only_where_it_searches(monkeypatch):
     monkeypatch.setattr(gr, "max_independent_set", counting("oracle", gr.max_independent_set))
     monkeypatch.setattr(gr, "_row_bitmasks", counting("bit_rows", gr._row_bitmasks))
     assert all(tables.verify_table(t) for t in (3, 4, 5))
-    assert counts == {"oracle": 41, "bit_rows": 10}
+    assert counts == {"oracle": 41, "bit_rows": 4}
 
 
 def test_oracle_bit_rows_read_a_c_contiguous_gather(monkeypatch):
@@ -423,18 +396,23 @@ def test_oracle_bit_rows_read_a_c_contiguous_gather(monkeypatch):
 
 
 def test_hint_at_the_bound_certifies_before_search_set_up(monkeypatch):
-    """Phase rotation (5,4), k=2: the linear-code hint reaches the ratio
-    bound 25, so the row needs no bit rows, no greedy pass and no symmetry
-    generators."""
+    """Phase rotation (5,4), k=2, cyclic burst (2,8,3), k=1, and block q=2
+    1,2|3,4|5,6|7,8, k=2 (256 vertices each): the linear-code hint reaches
+    the proven bound, so the row needs no bit rows, no greedy pass and no
+    symmetry generators."""
     def unused(*args, **kwargs):
         raise AssertionError("search set-up ran")
     for name in ("_row_bitmasks", "_greedy_independent"):
         monkeypatch.setattr(gr, name, unused)
     monkeypatch.setattr(tables, "automorphism_generators", unused)
-    row = tables.compute_row(tables.make_space("phase-rotation", q=5, n=4), 2,
-                             ["inertia", "ratio", "singleton"])
-    assert (row.cell("alpha"), row.certified_by, row.oracle.nodes) == ("25", "ratio", 0)
-    assert row.oracle.exact and row.oracle.certified
+    for metric, params, k, expected in [
+            ("phase-rotation", {"q": 5, "n": 4}, 2, ("25", "ratio")),
+            ("cyclic-burst", {"q": 2, "n": 8, "b": 3}, 1, ("32", "singleton")),
+            ("block", {"q": 2, "partition": "1,2|3,4|5,6|7,8"}, 2, ("16", "ratio"))]:
+        space = tables.make_space(metric, **params)
+        row = tables.compute_row(space, k, tables.available_bounds(space))
+        assert (row.cell("alpha"), row.certified_by, row.oracle.nodes) == (*expected, 0)
+        assert row.oracle.exact and row.oracle.certified
 
 
 def test_table_exact_lp_work_is_pinned(monkeypatch):
